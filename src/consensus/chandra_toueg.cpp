@@ -47,68 +47,23 @@ void ChandraTouegConsensus::init(framework::Stack& stack) {
   });
 }
 
-bool ChandraTouegConsensus::value_ok(std::uint64_t k,
-                                     const util::Bytes& value) const {
-  return !validator_ || validator_(k, value);
-}
-
-util::ProcessId ChandraTouegConsensus::coordinator(std::uint32_t round) const {
-  return (round - 1) % static_cast<std::uint32_t>(stack_->group_size());
-}
-
-std::size_t ChandraTouegConsensus::majority() const {
-  return stack_->group_size() / 2 + 1;
-}
-
-bool ChandraTouegConsensus::suspects(util::ProcessId q) const {
-  return fd_ != nullptr && fd_->suspects(q);
-}
-
 ChandraTouegConsensus::Instance& ChandraTouegConsensus::instance(
     std::uint64_t k) {
-  auto [it, inserted] = instances_.try_emplace(k);
-  if (inserted) {
-    it->second.k = k;
-    // Born decided: with pipelined callers an instance may be touched after
-    // its decision arrived (and its bookkeeping was pruned); it must not
-    // look open, or stale round machinery could run for it.
-    if (decisions_.count(k) != 0) it->second.decided = true;
-    std::size_t open = 0;
-    for (const auto& [kk, other] : instances_) {
-      if (!other.decided) ++open;
-    }
-    stats_.max_open_instances =
-        std::max<std::uint64_t>(stats_.max_open_instances, open);
+  bool created = false;
+  Instance& inst = instances_.at(k, &created);
+  if (created) {
+    std::uint64_t open = 0;
+    for (const auto& [kk, other] : instances_.all()) open += !other.decided;
+    stats_.max_open_instances = std::max(stats_.max_open_instances, open);
   }
-  return it->second;
-}
-
-void ChandraTouegConsensus::record_estimate(Instance& inst,
-                                            std::uint32_t round,
-                                            util::ProcessId sender,
-                                            std::uint32_t ts,
-                                            util::Bytes value) {
-  auto& ests = inst.estimates[round];
-  for (auto& e : ests) {
-    if (e.sender == sender) {
-      e.ts = ts;
-      e.value = std::move(value);
-      return;
-    }
-  }
-  ests.push_back(Instance::EstimateEntry{sender, ts, std::move(value)});
-}
-
-const util::Bytes* ChandraTouegConsensus::decision(std::uint64_t k) const {
-  auto it = decisions_.find(k);
-  return it == decisions_.end() ? nullptr : &it->second;
+  return inst;
 }
 
 void ChandraTouegConsensus::propose(std::uint64_t k, util::Bytes value) {
-  if (decisions_.count(k) != 0) return;
+  if (instances_.decided(k)) return;
   Instance& inst = instance(k);
-  if (inst.has_initial) return;  // initial value already bound
-  inst.has_initial = true;
+  if (inst.has_estimate) return;  // initial value already bound
+  inst.has_estimate = true;
   inst.estimate = std::move(value);
   inst.estimate_ts = 0;
 
@@ -117,43 +72,41 @@ void ChandraTouegConsensus::propose(std::uint64_t k, util::Bytes value) {
   if (stack_->group_size() == 1) {
     // lifecheck:allow(timer.lost): zero-delay trampoline fires before any cancel path could need its id
     stack_->rt().set_timer(0, [this, k] {
-      auto it = instances_.find(k);
-      if (it == instances_.end() || it->second.decided) return;
-      decide_local(k, it->second.estimate);
+      Instance* inst = instances_.find(k);
+      if (inst == nullptr || inst->decided) return;
+      decide_local(k, inst->estimate);
     });
     return;
   }
 
-  if (stack_->self() == coordinator(1) && inst.round == 1 &&
-      inst.proposed_rounds.count(1) == 0 && !inst.decided) {
+  const ct::Group g = group();
+  if (ct::may_propose(inst, g, 1)) {
     do_propose(inst, 1, inst.estimate);
     return;
   }
+  if (inst.decided) return;
 
-  // Participant paths: catch up on anything that already happened.
-  if (!inst.decided && inst.round > 1 && stack_->self() != coordinator(inst.round) &&
-      inst.estimate_sent.count(inst.round) == 0) {
-    send_estimate(inst, inst.round, coordinator(inst.round));
-  }
-  if (!inst.decided && inst.round == 1) {
-    if (suspects(coordinator(1))) {
-      // Tell the round-1 coordinator we are moving on — it may be alive
-      // (wrong suspicion) and waiting for our ack.
-      if (inst.acked_rounds.count(1) == 0 &&
-          inst.nacked_rounds.insert(1).second) {
-        util::ByteWriter w(16);
-        w.u8(kNack);
-        w.u64(k);
-        w.u32(1);
-        framework::TraceScope scope(*stack_, k, 0);
-        stack_->send_wire(coordinator(1), framework::kModConsensus,
-                          w.take());
-        ++stats_.nacks_sent;
-      }
-      advance_round(inst);
-    } else if (inst.proposals.count(1) == 0) {
-      arm_nudge(inst);
+  // Catch up on anything that already happened: a recovery round we
+  // coordinate now counts our value (rule 3); one we joined gets it.
+  if (inst.round > 1) {
+    if (g.coordinator(inst.round) == g.self) {
+      ct::enter_round(inst, g, inst.round);
+      check_estimates(inst, inst.round);
+    } else {
+      send_estimate(inst, inst.round, g.coordinator(inst.round));
     }
+    return;
+  }
+  if (suspects(g.coordinator(1))) {
+    // Tell the round-1 coordinator we are moving on — it may be alive
+    // (wrong suspicion) and waiting for our ack.
+    if (inst.acked_rounds.count(1) == 0 &&
+        inst.nacked_rounds.insert(1).second) {
+      send_nack(k, 1, g.coordinator(1));
+    }
+    move_on(inst);
+  } else if (inst.proposals.count(1) == 0) {
+    arm_nudge(inst);
   }
 }
 
@@ -162,25 +115,24 @@ void ChandraTouegConsensus::arm_nudge(Instance& inst) {
   const std::uint64_t k = inst.k;
   inst.nudge_timer = stack_->rt().set_timer(
       config_.proposal_nudge_timeout, [this, k] {
-        auto it = instances_.find(k);
-        if (it == instances_.end()) return;
-        Instance& inst = it->second;
-        inst.nudge_timer = runtime::kInvalidTimer;
-        if (inst.decided || inst.round != 1 || inst.proposals.count(1) != 0 ||
-            !inst.has_initial) {
+        Instance* inst = instances_.find(k);
+        if (inst == nullptr) return;
+        inst->nudge_timer = runtime::kInvalidTimer;
+        if (inst->decided || inst->round != 1 ||
+            inst->proposals.count(1) != 0 || !inst->has_estimate) {
           return;
         }
         // Re-introduce the estimate phase: hand the coordinator a value.
-        util::ByteWriter w(inst.estimate.size() + 32);
+        util::ByteWriter w(inst->estimate.size() + 32);
         w.u8(kEstimate);
-        w.u64(inst.k);
+        w.u64(inst->k);
         w.u32(1);
-        w.u32(inst.estimate_ts);
-        w.blob(inst.estimate);
+        w.u32(inst->estimate_ts);
+        w.blob(inst->estimate);
         framework::TraceScope scope(*stack_, k, 0);
         stack_->send_wire(coordinator(1), framework::kModConsensus, w.take());
         ++stats_.nudges_sent;
-        arm_nudge(inst);  // keep nudging until the proposal shows up
+        arm_nudge(*inst);  // keep nudging until the proposal shows up
       });
 }
 
@@ -191,26 +143,24 @@ void ChandraTouegConsensus::do_propose(Instance& inst, std::uint32_t round,
   // keeping app_bytes inherits that for the proposal fan-out. Recovery-round
   // proposals arrive with no enclosing scope and stay at app_bytes 0.
   framework::TraceScope scope(*stack_, inst.k, framework::TraceScope::kKeepAppBytes);
-  inst.proposed_rounds.insert(round);
-  inst.proposals[round] = value;
-  inst.estimate = value;
-  inst.estimate_ts = round;
-  inst.has_initial = true;
-  inst.ack_senders[round];  // ensure present; self-ack is counted implicitly
+  ct::propose(inst, round, std::move(value));
+  const util::Bytes& proposal = inst.proposals[round];
 
-  util::ByteWriter w(value.size() + 16);
+  util::ByteWriter w(proposal.size() + 16);
   w.u8(kProposal);
   w.u64(inst.k);
   w.u32(round);
-  w.blob(value);
+  w.blob(proposal);
   stack_->send_wire_to_others(framework::kModConsensus, w.take());
 
-  maybe_decide_as_coordinator(inst, round);
+  if (ct::maybe_decide_as_coordinator(inst, group(), round)) {
+    broadcast_decision(inst, round);
+  }
 }
 
 void ChandraTouegConsensus::send_estimate(Instance& inst, std::uint32_t round,
                                           util::ProcessId coord) {
-  if (!inst.has_initial) return;  // nothing to estimate yet
+  if (!inst.has_estimate) return;  // nothing to estimate yet
   if (!inst.estimate_sent.insert(round).second) return;
   util::ByteWriter w(inst.estimate.size() + 32);
   w.u8(kEstimate);
@@ -222,106 +172,83 @@ void ChandraTouegConsensus::send_estimate(Instance& inst, std::uint32_t round,
   stack_->send_wire(coord, framework::kModConsensus, w.take());
 }
 
-void ChandraTouegConsensus::advance_round(Instance& inst) {
-  while (!inst.decided) {
-    ++inst.round;
-    const util::ProcessId c = coordinator(inst.round);
-    if (c == stack_->self()) {
-      if (inst.has_initial && inst.own_estimate_added.insert(inst.round).second) {
-        record_estimate(inst, inst.round, stack_->self(), inst.estimate_ts,
-                        inst.estimate);
-      }
-      check_estimates(inst, inst.round);
-      return;  // we are the coordinator: wait for (more) estimates
-    }
-    send_estimate(inst, inst.round, c);
-    if (!suspects(c)) return;  // wait for this round's coordinator
-    // Already suspected: tell it we moved on and keep rotating. The loop
-    // terminates because our own id comes up within n rounds.
-    util::ByteWriter w(16);
-    w.u8(kNack);
-    w.u64(inst.k);
-    w.u32(inst.round);
-    framework::TraceScope scope(*stack_, inst.k, 0);
-    stack_->send_wire(c, framework::kModConsensus, w.take());
-    ++stats_.nacks_sent;
-    inst.nacked_rounds.insert(inst.round);
+void ChandraTouegConsensus::send_nack(std::uint64_t k, std::uint32_t round,
+                                      util::ProcessId to) {
+  util::ByteWriter w(16);
+  w.u8(kNack);
+  w.u64(k);
+  w.u32(round);
+  framework::TraceScope scope(*stack_, k, 0);
+  stack_->send_wire(to, framework::kModConsensus, w.take());
+  ++stats_.nacks_sent;
+}
+
+void ChandraTouegConsensus::move_on(Instance& inst) {
+  const ct::Group g = group();
+  const std::uint32_t first = ct::advance_round(
+      inst, g, [this](util::ProcessId q) { return suspects(q); });
+  // Skipped rounds: their coordinators are suspected; tell them we moved on.
+  for (std::uint32_t r = first; r < inst.round; ++r) {
+    send_estimate(inst, r, g.coordinator(r));
+    send_nack(inst.k, r, g.coordinator(r));
+  }
+  if (g.coordinator(inst.round) == g.self) {
+    check_estimates(inst, inst.round);  // we coordinate: wait for estimates
+  } else {
+    send_estimate(inst, inst.round, g.coordinator(inst.round));
   }
 }
 
 void ChandraTouegConsensus::check_estimates(Instance& inst,
                                             std::uint32_t round) {
-  if (inst.decided || coordinator(round) != stack_->self()) return;
-  if (inst.proposed_rounds.count(round) != 0) return;
-
+  const ct::Group g = group();
+  if (!ct::may_propose(inst, g, round)) return;
   auto it = inst.estimates.find(round);
   if (it == inst.estimates.end()) return;
-  auto& ests = it->second;
 
+  const ct::Estimate* best = nullptr;
   if (round == 1) {
     // Round 1 normally has no estimate phase; estimates only arrive via the
     // nudge path, when the coordinator itself has no initial value. Adopt
-    // the first nudged value (ts is always 0 in round 1).
-    if (!inst.has_initial && !ests.empty() && inst.round == 1) {
-      if (!value_ok(inst.k, ests.front().value)) {
-        inst.pending_propose = {1u, ests.front().value};
-        return;
+    // the nudged value the locking rule picks (ts is always 0 in round 1).
+    if (inst.has_estimate) return;
+    best = ct::locking_rule(it->second);
+  } else {
+    best = ct::locked_estimate(inst, g, round);
+    if (best == nullptr) {
+      // Recovery rounds need majority participation, but only processes
+      // that themselves suspected earlier coordinators have joined so far.
+      // Ask the others for their estimates (once per round).
+      if (inst.solicited_rounds.insert(round).second) {
+        util::ByteWriter w(16);
+        w.u8(kSolicit);
+        w.u64(inst.k);
+        w.u32(round);
+        framework::TraceScope scope(*stack_, inst.k, 0);
+        stack_->send_wire_to_others(framework::kModConsensus, w.take());
       }
-      do_propose(inst, 1, ests.front().value);
+      return;
     }
-    return;
   }
-
-  if (ests.size() < majority()) {
-    // Recovery rounds need majority participation, but only processes that
-    // themselves suspected earlier coordinators have joined so far. Ask the
-    // others for their estimates (once per round).
-    if (inst.solicited_rounds.insert(round).second) {
-      util::ByteWriter w(16);
-      w.u8(kSolicit);
-      w.u64(inst.k);
-      w.u32(round);
-      framework::TraceScope scope(*stack_, inst.k, 0);
-      stack_->send_wire_to_others(framework::kModConsensus, w.take());
-    }
-    return;
-  }
-  // Chandra–Toueg locking rule: propose the estimate with the highest
-  // adoption timestamp. Among unlocked (ts = 0) candidates prefer a larger
-  // value — an empty batch must not shadow one that carries messages.
-  auto best = std::max_element(
-      ests.begin(), ests.end(),
-      [](const auto& a, const auto& b) {
-        if (a.ts != b.ts) return a.ts < b.ts;
-        return a.value.size() < b.value.size();
-      });
   // Locking forces this value; if the layer above cannot act on it yet,
   // defer the proposal until revalidation (the validator starts recovery).
   if (!value_ok(inst.k, best->value)) {
     inst.pending_propose = {round, best->value};
     return;
   }
-  inst.round = std::max(inst.round, round);
   do_propose(inst, round, best->value);
 }
 
 void ChandraTouegConsensus::on_solicit(util::ProcessId from, std::uint64_t k,
                                        std::uint32_t round) {
-  auto dit = decisions_.find(k);
-  if (dit != decisions_.end()) {
-    // The solicitor lags: hand it the decision directly.
-    util::ByteWriter w(dit->second.size() + 16);
-    w.u8(kFull);
-    w.u64(k);
-    w.blob(dit->second);
-    framework::TraceScope scope(*stack_, k, 0);
-    stack_->send_wire(from, framework::kModConsensus, w.take());
+  if (instances_.decided(k)) {
+    send_full(from, k);  // the solicitor lags: hand it the decision
     return;
   }
   Instance& inst = instance(k);
   if (inst.decided) return;
-  if (round > inst.round) inst.round = round;  // join the recovery round
-  if (inst.has_initial) {
+  ct::enter_round(inst, group(), round);  // join the recovery round
+  if (inst.has_estimate) {
     send_estimate(inst, round, from);
   } else {
     // We never proposed for this instance: ask the layer above for an
@@ -330,15 +257,6 @@ void ChandraTouegConsensus::on_solicit(util::ProcessId from, std::uint64_t k,
     stack_->raise(framework::Event::local(
         framework::kEvProposeRequest, framework::ProposeRequestBody{k}));
   }
-}
-
-void ChandraTouegConsensus::maybe_decide_as_coordinator(Instance& inst,
-                                                        std::uint32_t round) {
-  if (inst.decided || inst.proposed_rounds.count(round) == 0) return;
-  // +1: the coordinator implicitly acks its own proposal.
-  const std::size_t acks = inst.ack_senders[round].size() + 1;
-  if (acks < majority()) return;
-  broadcast_decision(inst, round);
 }
 
 void ChandraTouegConsensus::broadcast_decision(Instance& inst,
@@ -366,41 +284,26 @@ void ChandraTouegConsensus::broadcast_decision(Instance& inst,
 }
 
 void ChandraTouegConsensus::decide_local(std::uint64_t k, util::Bytes value) {
-  if (decisions_.count(k) != 0) return;
-  decisions_[k] = value;
+  if (instances_.decided(k)) return;
+  Instance* inst = instances_.decide(k, value);
   ++stats_.decided;
-
-  auto it = instances_.find(k);
-  if (it != instances_.end()) {
-    Instance& inst = it->second;
-    inst.decided = true;
-    stats_.max_round = std::max(stats_.max_round, inst.round);
-    if (inst.round > 1) ++stats_.late_decisions;
-    if (inst.nudge_timer != runtime::kInvalidTimer) {
-      stack_->rt().cancel_timer(inst.nudge_timer);
-      inst.nudge_timer = runtime::kInvalidTimer;
+  if (inst != nullptr) {
+    stats_.max_round = std::max(stats_.max_round, inst->round);
+    if (inst->round > 1) ++stats_.late_decisions;
+    if (inst->nudge_timer != runtime::kInvalidTimer) {
+      stack_->rt().cancel_timer(inst->nudge_timer);
+      inst->nudge_timer = runtime::kInvalidTimer;
     }
-    if (inst.pull_timer != runtime::kInvalidTimer) {
-      stack_->rt().cancel_timer(inst.pull_timer);
-      inst.pull_timer = runtime::kInvalidTimer;
+    if (inst->pull_timer != runtime::kInvalidTimer) {
+      stack_->rt().cancel_timer(inst->pull_timer);
+      inst->pull_timer = runtime::kInvalidTimer;
     }
   }
 
   stack_->raise(framework::Event::local(
       framework::kEvDecide,
       framework::ConsensusValueBody{k, std::move(value)}));
-  prune(k);
-}
-
-void ChandraTouegConsensus::prune(std::uint64_t except_k) {
-  // Never erase `except_k`: callers up the stack may hold a reference to it.
-  while (decisions_.size() > config_.decision_retention) {
-    const std::uint64_t oldest = decisions_.begin()->first;
-    if (oldest == except_k) break;
-    decisions_.erase(decisions_.begin());
-    auto it = instances_.find(oldest);
-    if (it != instances_.end() && it->second.decided) instances_.erase(it);
-  }
+  instances_.prune(config_.decision_retention, k);
 }
 
 void ChandraTouegConsensus::start_pull(Instance& inst) {
@@ -416,10 +319,10 @@ void ChandraTouegConsensus::start_pull(Instance& inst) {
   const std::uint64_t k = inst.k;
   inst.pull_timer =
       stack_->rt().set_timer(config_.pull_retry, [this, k] {
-        auto it = instances_.find(k);
-        if (it == instances_.end() || it->second.decided) return;
-        it->second.pull_timer = runtime::kInvalidTimer;
-        start_pull(it->second);
+        Instance* inst = instances_.find(k);
+        if (inst == nullptr || inst->decided) return;
+        inst->pull_timer = runtime::kInvalidTimer;
+        start_pull(*inst);
       });
 }
 
@@ -432,7 +335,10 @@ void ChandraTouegConsensus::on_wire(util::ProcessId from,
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
       const std::uint32_t ts = r.u32();
-      on_estimate(from, k, round, ts, r.blob());
+      if (instances_.decided(k)) break;
+      Instance& inst = instance(k);
+      ct::record_estimate(inst, group(), round, from, ts, r.blob());
+      check_estimates(inst, round);
       break;
     }
     case kProposal: {
@@ -444,17 +350,26 @@ void ChandraTouegConsensus::on_wire(util::ProcessId from,
     case kAck: {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
-      on_ack(from, k, round);
+      if (instances_.decided(k)) break;
+      Instance& inst = instance(k);
+      if (ct::count_ack(inst, group(), round, from)) {
+        broadcast_decision(inst, round);
+      }
       break;
     }
     case kNack: {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
-      on_nack(from, k, round);
+      if (instances_.decided(k)) break;
+      // Our round failed; move on as a participant of later rounds. A
+      // decision can still complete if a majority of acks arrives afterwards
+      // — that is safe (the value is locked by the majority).
+      Instance& inst = instance(k);
+      if (ct::leaves_on_nack(inst, group(), round)) move_on(inst);
       break;
     }
     case kPull:
-      on_pull(from, r.u64());
+      send_full(from, r.u64());
       break;
     case kSolicit: {
       const std::uint64_t k = r.u64();
@@ -464,21 +379,12 @@ void ChandraTouegConsensus::on_wire(util::ProcessId from,
     }
     case kFull: {
       const std::uint64_t k = r.u64();
-      if (decisions_.count(k) == 0) decide_local(k, r.blob());
+      if (!instances_.decided(k)) decide_local(k, r.blob());
       break;
     }
     default:
       MODCAST_WARN("consensus: unknown wire kind " + std::to_string(kind));
   }
-}
-
-void ChandraTouegConsensus::on_estimate(util::ProcessId from, std::uint64_t k,
-                                        std::uint32_t round, std::uint32_t ts,
-                                        util::Bytes value) {
-  if (decisions_.count(k) != 0) return;
-  Instance& inst = instance(k);
-  record_estimate(inst, round, from, ts, std::move(value));
-  check_estimates(inst, round);
 }
 
 void ChandraTouegConsensus::on_proposal(util::ProcessId from, std::uint64_t k,
@@ -493,50 +399,29 @@ void ChandraTouegConsensus::on_proposal(util::ProcessId from, std::uint64_t k,
   }
 
   // A pending DECISION tag for this round resolves now.
-  if (!inst.decided && inst.pending_tag_round &&
-      *inst.pending_tag_round == round) {
+  if (!inst.decided && inst.pending_tag_round == round) {
     decide_local(k, inst.proposals[round]);
     return;
   }
-  if (inst.decided || decisions_.count(k) != 0) return;
+  if (instances_.decided(k)) return;
 
-  if (round < inst.round) {
-    // Stale proposal from a coordinator we moved past (e.g. we advanced on
-    // a wrong suspicion before its proposal arrived). Nack so it advances
-    // too instead of waiting for our ack forever.
-    if (inst.acked_rounds.count(round) == 0 &&
-        inst.nacked_rounds.insert(round).second) {
-      util::ByteWriter w(16);
-      w.u8(kNack);
-      w.u64(k);
-      w.u32(round);
-      framework::TraceScope scope(*stack_, k, 0);
-      stack_->send_wire(from, framework::kModConsensus, w.take());
-      ++stats_.nacks_sent;
-    }
-    return;
+  const ct::Group g = group();
+  switch (ct::vote(inst, g, round, suspects(g.coordinator(round)))) {
+    case ct::Vote::kIgnore:
+    case ct::Vote::kDuplicate:
+      return;
+    case ct::Vote::kStaleNack:
+      // Stale proposal from a coordinator we moved past: nack so it
+      // advances too instead of waiting for our ack forever.
+      send_nack(k, round, from);
+      return;
+    case ct::Vote::kNack:
+      send_nack(k, round, from);
+      move_on(inst);
+      return;
+    case ct::Vote::kAck:
+      break;
   }
-  if (round > inst.round) inst.round = round;  // catch up
-  if (inst.acked_rounds.count(round) != 0 ||
-      inst.nacked_rounds.count(round) != 0) {
-    return;
-  }
-
-  if (suspects(coordinator(round))) {
-    util::ByteWriter w(16);
-    w.u8(kNack);
-    w.u64(k);
-    w.u32(round);
-    {
-      framework::TraceScope scope(*stack_, k, 0);
-      stack_->send_wire(from, framework::kModConsensus, w.take());
-    }
-    ++stats_.nacks_sent;
-    inst.nacked_rounds.insert(round);
-    advance_round(inst);
-    return;
-  }
-
   // Extended-specification gate ([12]): do not ack a value the layer above
   // cannot act on yet (e.g. ids whose payloads we miss). The validator
   // initiates whatever recovery it needs and raises kEvRevalidate later.
@@ -549,11 +434,7 @@ void ChandraTouegConsensus::on_proposal(util::ProcessId from, std::uint64_t k,
 
 void ChandraTouegConsensus::adopt_and_ack(Instance& inst,
                                           std::uint32_t round) {
-  // Chandra–Toueg: estimate := v, ts := r, then ack to the coordinator.
-  inst.estimate = inst.proposals[round];
-  inst.estimate_ts = round;
-  inst.has_initial = true;
-  inst.acked_rounds.insert(round);
+  ct::adopt(inst, round);
   inst.pending_ack_round.reset();
   util::ByteWriter w(16);
   w.u8(kAck);
@@ -564,67 +445,40 @@ void ChandraTouegConsensus::adopt_and_ack(Instance& inst,
 }
 
 void ChandraTouegConsensus::on_revalidate(std::uint64_t k) {
-  auto it = instances_.find(k);
-  if (it == instances_.end()) return;
-  Instance& inst = it->second;
-  if (inst.decided || decisions_.count(k) != 0) return;
+  Instance* inst = instances_.find(k);
+  if (inst == nullptr || inst->decided || instances_.decided(k)) return;
 
   // Deferred ack: the proposal for our current round may validate now.
-  if (inst.pending_ack_round && *inst.pending_ack_round == inst.round &&
-      inst.acked_rounds.count(inst.round) == 0 &&
-      inst.nacked_rounds.count(inst.round) == 0) {
-    auto pit = inst.proposals.find(inst.round);
-    if (pit != inst.proposals.end() && value_ok(k, pit->second)) {
-      adopt_and_ack(inst, inst.round);
+  if (inst->pending_ack_round == inst->round &&
+      inst->acked_rounds.count(inst->round) == 0 &&
+      inst->nacked_rounds.count(inst->round) == 0) {
+    auto pit = inst->proposals.find(inst->round);
+    if (pit != inst->proposals.end() && value_ok(k, pit->second)) {
+      adopt_and_ack(*inst, inst->round);
     }
   }
 
   // Deferred proposal: the locked value we must propose may validate now.
-  if (inst.pending_propose) {
-    const std::uint32_t round = inst.pending_propose->first;
-    if (coordinator(round) == stack_->self() &&
-        inst.proposed_rounds.count(round) == 0 &&
-        value_ok(k, inst.pending_propose->second)) {
-      util::Bytes value = std::move(inst.pending_propose->second);
-      inst.pending_propose.reset();
-      inst.round = std::max(inst.round, round);
-      do_propose(inst, round, std::move(value));
+  if (inst->pending_propose) {
+    const std::uint32_t round = inst->pending_propose->first;
+    if (ct::may_propose(*inst, group(), round) &&
+        value_ok(k, inst->pending_propose->second)) {
+      util::Bytes value = std::move(inst->pending_propose->second);
+      inst->pending_propose.reset();
+      do_propose(*inst, round, std::move(value));
     }
   }
 }
 
-void ChandraTouegConsensus::on_ack(util::ProcessId from, std::uint64_t k,
-                                   std::uint32_t round) {
-  if (decisions_.count(k) != 0) return;
-  Instance& inst = instance(k);
-  if (coordinator(round) != stack_->self()) return;
-  if (inst.proposed_rounds.count(round) == 0) return;
-  inst.ack_senders[round].insert(from);
-  maybe_decide_as_coordinator(inst, round);
-}
-
-void ChandraTouegConsensus::on_nack(util::ProcessId from, std::uint64_t k,
-                                    std::uint32_t round) {
-  (void)from;
-  if (decisions_.count(k) != 0) return;
-  Instance& inst = instance(k);
-  if (coordinator(round) != stack_->self()) return;
-  if (inst.decided) return;
-  // Our round failed; move on as a participant of later rounds. A decision
-  // can still complete if a majority of acks arrives afterwards — that is
-  // safe (the value is locked by the majority).
-  if (inst.round == round) advance_round(inst);
-}
-
-void ChandraTouegConsensus::on_pull(util::ProcessId from, std::uint64_t k) {
-  auto it = decisions_.find(k);
-  if (it == decisions_.end()) return;
-  util::ByteWriter w(it->second.size() + 16);
+void ChandraTouegConsensus::send_full(util::ProcessId to, std::uint64_t k) {
+  const util::Bytes* value = instances_.decision(k);
+  if (value == nullptr) return;
+  util::ByteWriter w(value->size() + 16);
   w.u8(kFull);
   w.u64(k);
-  w.blob(it->second);
+  w.blob(*value);
   framework::TraceScope scope(*stack_, k, 0);
-  stack_->send_wire(from, framework::kModConsensus, w.take());
+  stack_->send_wire(to, framework::kModConsensus, w.take());
 }
 
 void ChandraTouegConsensus::on_rdeliver(util::ProcessId origin,
@@ -635,7 +489,7 @@ void ChandraTouegConsensus::on_rdeliver(util::ProcessId origin,
   if (kind == kDecisionTag) {
     const std::uint64_t k = r.u64();
     const std::uint32_t round = r.u32();
-    if (decisions_.count(k) != 0) return;
+    if (instances_.decided(k)) return;
     Instance& inst = instance(k);
     auto pit = inst.proposals.find(round);
     if (pit != inst.proposals.end()) {
@@ -648,7 +502,7 @@ void ChandraTouegConsensus::on_rdeliver(util::ProcessId origin,
   } else if (kind == kDecisionFull) {
     const std::uint64_t k = r.u64();
     r.u32();  // round (diagnostic only)
-    if (decisions_.count(k) == 0) decide_local(k, r.blob());
+    if (!instances_.decided(k)) decide_local(k, r.blob());
   } else {
     MODCAST_WARN("consensus: unknown rdeliver kind " + std::to_string(kind));
   }
@@ -657,30 +511,13 @@ void ChandraTouegConsensus::on_rdeliver(util::ProcessId origin,
 void ChandraTouegConsensus::on_suspect(util::ProcessId q) {
   // Move every undecided instance whose current coordinator is q to the
   // next round (the paper's "new round starts only if the coordinator is
-  // suspected"). Advancing a round can synchronously decide and prune, so
-  // iterate a snapshot of keys, re-looking each one up.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(instances_.size());
-  for (const auto& [k, inst] : instances_) keys.push_back(k);
-  for (std::uint64_t k : keys) {
-    auto it = instances_.find(k);
-    if (it == instances_.end()) continue;
-    Instance& inst = it->second;
-    if (inst.decided) continue;
-    if (coordinator(inst.round) != q) continue;
-    if (q == stack_->self()) continue;  // never suspect self
-    util::ByteWriter w(16);
-    w.u8(kNack);
-    w.u64(k);
-    w.u32(inst.round);
-    {
-      framework::TraceScope scope(*stack_, k, 0);
-      stack_->send_wire(q, framework::kModConsensus, w.take());
-    }
-    ++stats_.nacks_sent;
-    inst.nacked_rounds.insert(inst.round);
-    advance_round(inst);
-  }
+  // suspected").
+  const ct::Group g = group();
+  instances_.for_each_undecided([&](Instance& inst) {
+    if (!ct::suspect(inst, g, q)) return;
+    send_nack(inst.k, inst.round, q);
+    move_on(inst);
+  });
 }
 
 }  // namespace modcast::consensus

@@ -29,23 +29,19 @@
 // from the failure detector (kEvSuspect). The value is an opaque byte blob —
 // the consensus module never interprets it (black-box modularity).
 //
-// Concurrent instances: all protocol state is keyed by instance number in
-// `instances_` (per-instance rounds, estimates, timers), so a pipelined
-// caller may run any number of instances at once — decisions can complete
-// in any order and nothing bleeds across instances. Estimates are keyed by
-// sender within a round (a refreshed estimate replaces the stale one), and
-// an instance touched after its decision already arrived is born decided.
+// Concurrent instances: all protocol state is keyed by instance number
+// (per-instance rounds, estimates, timers), so a pipelined caller may run
+// any number of instances at once — decisions can complete in any order and
+// nothing bleeds across instances. The round state and its transitions are
+// the shared ct:: round core (src/ct); this module is its I/O shell.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
-#include <vector>
 
+#include "ct/round_core.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "framework/stack.hpp"
-#include "util/seq_tracker.hpp"
 
 namespace modcast::consensus {
 
@@ -98,44 +94,21 @@ class ChandraTouegConsensus final : public framework::Module {
   /// instance are ignored.
   void propose(std::uint64_t k, util::Bytes value);
 
-  bool has_decided(std::uint64_t k) const {
-    return decisions_.count(k) != 0;
-  }
+  bool has_decided(std::uint64_t k) const { return instances_.decided(k); }
   /// Decision value, or nullptr if undecided/pruned.
-  const util::Bytes* decision(std::uint64_t k) const;
+  const util::Bytes* decision(std::uint64_t k) const {
+    return instances_.decision(k);
+  }
 
   const ConsensusStats& stats() const { return stats_; }
 
   /// Coordinator of round r (1-based): p_{(r−1) mod n}.
-  util::ProcessId coordinator(std::uint32_t round) const;
+  util::ProcessId coordinator(std::uint32_t round) const {
+    return group().coordinator(round);
+  }
 
  private:
-  struct Instance {
-    std::uint64_t k = 0;
-    std::uint32_t round = 1;
-    bool has_initial = false;
-    util::Bytes estimate;
-    std::uint32_t estimate_ts = 0;  ///< round of adoption; 0 = initial
-    bool decided = false;
-    std::map<std::uint32_t, util::Bytes> proposals;  ///< per-round proposals seen
-    std::set<std::uint32_t> acked_rounds;
-    std::set<std::uint32_t> nacked_rounds;
-    std::set<std::uint32_t> proposed_rounds;  ///< rounds I proposed (as coord)
-    /// One estimate received as coordinator. Entries keep arrival order
-    /// (round-1 nudge adoption is first-come) but are keyed by sender on
-    /// insertion: a refreshed estimate replaces the stale one instead of
-    /// double-counting toward majority.
-    struct EstimateEntry {
-      util::ProcessId sender = 0;
-      std::uint32_t ts = 0;
-      util::Bytes value;
-    };
-    std::map<std::uint32_t, std::vector<EstimateEntry>> estimates;
-    std::set<std::uint32_t> own_estimate_added;
-    std::set<std::uint32_t> estimate_sent;
-    std::set<std::uint32_t> solicited_rounds;
-    std::map<std::uint32_t, std::set<util::ProcessId>> ack_senders;
-    std::optional<std::uint32_t> pending_tag_round;
+  struct Instance : ct::RoundState {
     /// Proposal round awaiting validation before we may ack it.
     std::optional<std::uint32_t> pending_ack_round;
     /// Chosen (round, value) awaiting validation before we may propose it.
@@ -144,24 +117,26 @@ class ChandraTouegConsensus final : public framework::Module {
     runtime::TimerId pull_timer = runtime::kInvalidTimer;
   };
 
+  ct::Group group() const { return {stack_->group_size(), stack_->self()}; }
+  bool suspects(util::ProcessId q) const {
+    return fd_ != nullptr && fd_->suspects(q);
+  }
   Instance& instance(std::uint64_t k);
-  std::size_t majority() const;
-  bool suspects(util::ProcessId q) const;
-  bool value_ok(std::uint64_t k, const util::Bytes& value) const;
+  bool value_ok(std::uint64_t k, const util::Bytes& value) const {
+    return !validator_ || validator_(k, value);
+  }
   void adopt_and_ack(Instance& inst, std::uint32_t round);
   void on_revalidate(std::uint64_t k);
 
   void do_propose(Instance& inst, std::uint32_t round, util::Bytes value);
-  void advance_round(Instance& inst);
+  void move_on(Instance& inst);
   void send_estimate(Instance& inst, std::uint32_t round,
                      util::ProcessId coord);
+  void send_nack(std::uint64_t k, std::uint32_t round, util::ProcessId to);
   void check_estimates(Instance& inst, std::uint32_t round);
-  void record_estimate(Instance& inst, std::uint32_t round,
-                       util::ProcessId sender, std::uint32_t ts,
-                       util::Bytes value);
-  void maybe_decide_as_coordinator(Instance& inst, std::uint32_t round);
   void decide_local(std::uint64_t k, util::Bytes value);
   void broadcast_decision(Instance& inst, std::uint32_t round);
+  void send_full(util::ProcessId to, std::uint64_t k);
   void start_pull(Instance& inst);
   void arm_nudge(Instance& inst);
 
@@ -169,23 +144,15 @@ class ChandraTouegConsensus final : public framework::Module {
   void on_rdeliver(util::ProcessId origin, const util::Payload& payload);
   void on_suspect(util::ProcessId q);
 
-  void on_estimate(util::ProcessId from, std::uint64_t k, std::uint32_t round,
-                   std::uint32_t ts, util::Bytes value);
   void on_proposal(util::ProcessId from, std::uint64_t k, std::uint32_t round,
                    util::Bytes value);
-  void on_ack(util::ProcessId from, std::uint64_t k, std::uint32_t round);
-  void on_nack(util::ProcessId from, std::uint64_t k, std::uint32_t round);
-  void on_pull(util::ProcessId from, std::uint64_t k);
   void on_solicit(util::ProcessId from, std::uint64_t k, std::uint32_t round);
-
-  void prune(std::uint64_t except_k);
 
   ConsensusConfig config_;
   const fd::HeartbeatFd* fd_;
   Validator validator_;
   framework::Stack* stack_ = nullptr;
-  std::map<std::uint64_t, Instance> instances_;
-  std::map<std::uint64_t, util::Bytes> decisions_;
+  ct::Instances<Instance> instances_;
   ConsensusStats stats_;
 };
 

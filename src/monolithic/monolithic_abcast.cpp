@@ -55,28 +55,6 @@ void MonolithicAbcast::start() {
 // Identity helpers
 // --------------------------------------------------------------------------
 
-util::ProcessId MonolithicAbcast::coordinator(std::uint32_t round) const {
-  return (round - 1) % static_cast<std::uint32_t>(stack_->group_size());
-}
-
-std::size_t MonolithicAbcast::majority() const {
-  return stack_->group_size() / 2 + 1;
-}
-
-bool MonolithicAbcast::suspects(util::ProcessId q) const {
-  return fd_ != nullptr && fd_->suspects(q);
-}
-
-bool MonolithicAbcast::i_am_initial_coordinator() const {
-  return stack_->self() == coordinator(1);
-}
-
-MonolithicAbcast::Instance& MonolithicAbcast::instance(std::uint64_t k) {
-  auto [it, inserted] = instances_.try_emplace(k);
-  if (inserted) it->second.k = k;
-  return it->second;
-}
-
 bool MonolithicAbcast::is_designated_resender(util::ProcessId origin,
                                               util::ProcessId relay) const {
   const auto n = static_cast<std::uint32_t>(stack_->group_size());
@@ -155,11 +133,9 @@ void MonolithicAbcast::flush_outbox_standalone() {
   // the initial coordinator is suspected and no instance is active, spin up
   // recovery first so the forward goes to a live coordinator.
   auto route = [this] {
-    auto it = instances_.find(next_decide_);
-    if (it != instances_.end() && !it->second.decided) {
-      return coordinator(it->second.round);
-    }
-    return coordinator(1);
+    const Instance* inst = instances_.find(next_decide_);
+    return group().coordinator(inst != nullptr && !inst->decided ? inst->round
+                                                                 : 1);
   };
   util::ProcessId target = route();
   if (suspects(target)) {
@@ -221,11 +197,11 @@ bool MonolithicAbcast::try_start_instance() {
   // Pipelining gate: at most pipeline_depth instances undecided at once
   // (depth 1 = the paper's strictly sequential instances).
   if (k - next_decide_ >= config_.pipeline_depth) return false;
-  if (decisions_.count(k) != 0) return false;
+  if (instances_.decided(k)) return false;
   {
-    auto it = instances_.find(k);
-    if (it != instances_.end() &&
-        (it->second.proposed_rounds.count(1) != 0 || it->second.round > 1)) {
+    const Instance* inst = instances_.find(k);
+    if (inst != nullptr &&
+        (inst->proposed_rounds.count(1) != 0 || inst->round > 1)) {
       return false;  // already started (or recovery in progress)
     }
   }
@@ -240,13 +216,8 @@ bool MonolithicAbcast::try_start_instance() {
   if (batch.empty()) return false;
 
   Instance& inst = instance(k);
-  util::Bytes value = adb::encode_batch(batch);
-  inst.proposed_rounds.insert(1);
-  inst.proposals[1] = value;
-  inst.estimate = value;
-  inst.estimate_ts = 1;
-  inst.has_estimate = true;
-  inst.ack_senders[1];
+  ct::propose(inst, 1, adb::encode_batch(batch));
+  const util::Bytes& value = inst.proposals[1];
 
   // §4.1: piggyback a decision tag on this proposal. Prefer a decision not
   // yet shipped in any COMBINED; when there is none, re-attach the latest
@@ -259,7 +230,7 @@ bool MonolithicAbcast::try_start_instance() {
       dec_k = untagged_decisions_.front();
       untagged_decisions_.pop_front();
       has_dec = true;
-    } else if (k > 0 && decisions_.count(k - 1) != 0) {
+    } else if (k > 0 && instances_.decided(k - 1)) {
       dec_k = k - 1;
       has_dec = true;
     }
@@ -269,7 +240,7 @@ bool MonolithicAbcast::try_start_instance() {
   w.u8(has_dec ? kFlagHasDecision : 0);
   if (has_dec) {
     w.u64(dec_k);
-    w.u32(decision_rounds_[dec_k]);
+    w.u32(decision_round(dec_k));
     ++stats_.combined_sent;
   }
   w.u64(k);
@@ -283,14 +254,16 @@ bool MonolithicAbcast::try_start_instance() {
   stats_.max_inflight_instances = std::max<std::uint64_t>(
       stats_.max_inflight_instances, next_start_ - next_decide_);
   arm_retransmit(inst, 1);
-  if (majority() == 1) {
+  if (ct::maybe_decide_as_coordinator(inst, group(), 1)) {
     // Degenerate tiny group: decide via a zero-delay timer so a decide →
     // start(k+1) → decide chain cannot recurse unboundedly.
     // lifecheck:allow(timer.lost): zero-delay trampoline fires before any cancel path could need its id
     stack_->rt().set_timer(0, [this, k] {
-      auto it = instances_.find(k);
-      if (it == instances_.end() || it->second.decided) return;
-      maybe_decide_as_coordinator(it->second, it->second.round);
+      Instance* inst = instances_.find(k);
+      if (inst != nullptr && ct::maybe_decide_as_coordinator(*inst, group(),
+                                                             inst->round)) {
+        coordinator_decided(*inst, inst->round);
+      }
     });
   }
   return true;
@@ -333,9 +306,9 @@ void MonolithicAbcast::arm_retransmit(Instance& inst, std::uint32_t round) {
   }
   inst.retransmit_timer = stack_->rt().set_timer(
       config_.ack_retransmit, [this, k, round] {
-        auto it = instances_.find(k);
-        if (it == instances_.end()) return;
-        Instance& inst = it->second;
+        Instance* found = instances_.find(k);
+        if (found == nullptr) return;
+        Instance& inst = *found;
         inst.retransmit_timer = runtime::kInvalidTimer;
         if (inst.decided || inst.round != round ||
             inst.proposed_rounds.count(round) == 0) {
@@ -390,7 +363,7 @@ void MonolithicAbcast::coordinator_decided(Instance& inst,
     while (!untagged_decisions_.empty()) {
       const std::uint64_t dk = untagged_decisions_.front();
       untagged_decisions_.pop_front();
-      send_standalone_tag(dk, decision_rounds_[dk]);
+      send_standalone_tag(dk, decision_round(dk));
     }
   } else {
     start_instances();
@@ -413,34 +386,33 @@ void MonolithicAbcast::send_standalone_tag(std::uint64_t k,
 // Round machinery (recovery)
 // --------------------------------------------------------------------------
 
-void MonolithicAbcast::advance_round(Instance& inst) {
-  while (!inst.decided) {
-    ++inst.round;
-    const util::ProcessId c = coordinator(inst.round);
-    if (c == stack_->self()) {
-      check_estimates(inst, inst.round);
-      return;
-    }
-    send_estimate(inst, inst.round, c);
-    if (!suspects(c)) return;
-    util::ByteWriter w(16);
-    w.u8(kNack);
-    w.u64(inst.k);
-    w.u32(inst.round);
-    framework::TraceScope scope(*stack_, inst.k, 0);
-    stack_->send_wire(c, framework::kModMonolithic, w.take());
-    inst.nacked_rounds.insert(inst.round);
+void MonolithicAbcast::move_on(Instance& inst) {
+  const ct::Group g = group();
+  const std::uint32_t first = ct::advance_round(
+      inst, g, [this](util::ProcessId q) { return suspects(q); });
+  // Skipped rounds: their coordinators are suspected; tell them we moved on.
+  for (std::uint32_t r = first; r < inst.round; ++r) {
+    send_estimate(inst, r, g.coordinator(r));
+    send_nack(inst.k, r, g.coordinator(r));
   }
+  if (g.coordinator(inst.round) == g.self) {
+    check_estimates(inst, inst.round);
+  } else {
+    send_estimate(inst, inst.round, g.coordinator(inst.round));
+  }
+}
+
+void MonolithicAbcast::ensure_estimate(Instance& inst) {
+  if (inst.has_estimate) return;
+  inst.estimate = build_estimate_value();
+  inst.estimate_ts = 0;
+  inst.has_estimate = true;
 }
 
 void MonolithicAbcast::send_estimate(Instance& inst, std::uint32_t round,
                                      util::ProcessId coord) {
   if (!inst.estimate_sent.insert(round).second) return;
-  if (!inst.has_estimate) {
-    inst.estimate = build_estimate_value();
-    inst.estimate_ts = 0;
-    inst.has_estimate = true;
-  }
+  ensure_estimate(inst);
   // §4.2 fallback: re-piggyback undelivered own messages on the estimate to
   // the new coordinator.
   std::vector<adb::AppMessage> piggy;
@@ -460,6 +432,16 @@ void MonolithicAbcast::send_estimate(Instance& inst, std::uint32_t round,
   stack_->send_wire(coord, framework::kModMonolithic, w.take());
 }
 
+void MonolithicAbcast::send_nack(std::uint64_t k, std::uint32_t round,
+                                 util::ProcessId to) {
+  util::ByteWriter w(16);
+  w.u8(kNack);
+  w.u64(k);
+  w.u32(round);
+  framework::TraceScope scope(*stack_, k, 0);
+  stack_->send_wire(to, framework::kModMonolithic, w.take());
+}
+
 bool MonolithicAbcast::batch_is_empty(const util::Bytes& value) {
   if (value.size() < 4) return true;
   util::ByteReader r(value);
@@ -467,30 +449,18 @@ bool MonolithicAbcast::batch_is_empty(const util::Bytes& value) {
 }
 
 void MonolithicAbcast::check_estimates(Instance& inst, std::uint32_t round) {
-  if (inst.decided || coordinator(round) != stack_->self()) return;
-  if (inst.proposed_rounds.count(round) != 0) return;
-  if (round < inst.round) return;
-
-  auto& ests = inst.estimates[round];
-  if (inst.own_estimate_added.insert(round).second) {
-    if (!inst.has_estimate) {
-      inst.estimate = build_estimate_value();
-      inst.estimate_ts = 0;
-      inst.has_estimate = true;
-    }
-    ests[stack_->self()] = {inst.estimate_ts, inst.estimate};
-  } else if (!inst.decided && ests.count(stack_->self()) != 0 &&
-             ests[stack_->self()].first == 0) {
-    // Our recorded estimate is unlocked (ts = 0): refresh it from the pool,
-    // which may have grown via piggybacked messages since we recorded it.
-    if (inst.estimate_ts == 0) {
-      inst.estimate = build_estimate_value();
-      inst.has_estimate = true;
-    }
-    ests[stack_->self()] = {inst.estimate_ts, inst.estimate};
+  const ct::Group g = group();
+  if (!ct::may_propose(inst, g, round)) return;
+  // Our own estimate counts from the moment we entered the round (rule 3);
+  // built from the pool on first need. While it is unlocked (ts = 0),
+  // refresh it: the pool may have grown via piggybacked messages since.
+  ensure_estimate(inst);
+  if (!ct::enter_round(inst, g, round) && inst.estimate_ts == 0) {
+    inst.estimate = build_estimate_value();
+    ct::refresh_own_estimate(inst, g, round);
   }
-  const bool have_majority = ests.size() >= majority();
-  if (!have_majority || ests.size() < stack_->group_size()) {
+  const ct::Estimate* best = ct::locked_estimate(inst, g, round);
+  if (best == nullptr || inst.estimates[round].size() < stack_->group_size()) {
     // Not enough participants (or we are holding on all-empty estimates
     // below and the value-holder may not have joined yet): solicit the
     // processes that have not sent an estimate for this round.
@@ -503,30 +473,13 @@ void MonolithicAbcast::check_estimates(Instance& inst, std::uint32_t round) {
       stack_->send_wire_to_others(framework::kModMonolithic, w.take());
     }
   }
-  if (!have_majority) return;
+  // The locking rule prefers a batch that carries messages over an empty
+  // one (rule 2). An all-empty unlocked set means there is nothing to order
+  // yet: hold until a value arrives (a new estimate re-triggers this check).
+  if (best == nullptr || (best->ts == 0 && batch_is_empty(best->value))) return;
+  ct::propose(inst, round, best->value);
 
-  // Chandra–Toueg locking rule: the highest adoption timestamp wins. Among
-  // unlocked (ts = 0) candidates, prefer one that actually carries
-  // messages — an all-empty set means there is nothing to order yet, so
-  // hold until a value arrives (a new estimate re-triggers this check).
-  auto better = [this](const std::pair<std::uint32_t, util::Bytes>& a,
-                       const std::pair<std::uint32_t, util::Bytes>& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return !batch_is_empty(a.second) && batch_is_empty(b.second);
-  };
-  const std::pair<std::uint32_t, util::Bytes>* best = nullptr;
-  for (const auto& [sender, est] : ests) {
-    if (best == nullptr || better(est, *best)) best = &est;
-  }
-  if (best->first == 0 && batch_is_empty(best->second)) return;  // hold
-  util::Bytes value = best->second;
-  inst.round = std::max(inst.round, round);
-  inst.proposed_rounds.insert(round);
-  inst.proposals[round] = value;
-  inst.estimate = value;
-  inst.estimate_ts = round;
-  inst.ack_senders[round];
-
+  const util::Bytes& value = inst.proposals[round];
   util::ByteWriter w(value.size() + 32);
   w.u8(kProposal);
   w.u64(inst.k);
@@ -537,14 +490,9 @@ void MonolithicAbcast::check_estimates(Instance& inst, std::uint32_t round) {
     stack_->send_wire_to_others(framework::kModMonolithic, w.take());
   }
   arm_retransmit(inst, round);
-  maybe_decide_as_coordinator(inst, round);
-}
-
-void MonolithicAbcast::maybe_decide_as_coordinator(Instance& inst,
-                                                   std::uint32_t round) {
-  if (inst.decided || inst.proposed_rounds.count(round) == 0) return;
-  if (inst.ack_senders[round].size() + 1 < majority()) return;
-  coordinator_decided(inst, round);
+  if (ct::maybe_decide_as_coordinator(inst, g, round)) {
+    coordinator_decided(inst, round);
+  }
 }
 
 void MonolithicAbcast::send_ack(Instance& inst, std::uint32_t round,
@@ -569,63 +517,41 @@ void MonolithicAbcast::send_ack(Instance& inst, std::uint32_t round,
 }
 
 void MonolithicAbcast::handle_proposal(util::ProcessId from, std::uint64_t k,
-                                       std::uint32_t round, util::Bytes batch,
-                                       bool from_combined) {
-  (void)from_combined;
+                                       std::uint32_t round,
+                                       util::Bytes batch) {
   if (k < next_decide_) return;  // stale instance
   Instance& inst = instance(k);
   inst.proposals[round] = std::move(batch);
 
-  if (!inst.decided && inst.pending_tag_round &&
-      *inst.pending_tag_round == round) {
+  if (!inst.decided && inst.pending_tag_round == round) {
     decide(k, round, inst.proposals[round]);
     return;
   }
-  if (inst.decided || decisions_.count(k) != 0) return;
+  if (instances_.decided(k)) return;
 
-  if (round < inst.round) {
-    // Stale proposal: we advanced past this round (possibly on a wrong
-    // suspicion) — nack so the old coordinator advances too.
-    if (inst.acked_rounds.count(round) == 0 &&
-        inst.nacked_rounds.insert(round).second) {
-      util::ByteWriter w(16);
-      w.u8(kNack);
-      w.u64(k);
-      w.u32(round);
-      framework::TraceScope scope(*stack_, k, 0);
-      stack_->send_wire(from, framework::kModMonolithic, w.take());
-    }
-    return;
+  const ct::Group g = group();
+  switch (ct::vote(inst, g, round, suspects(g.coordinator(round)))) {
+    case ct::Vote::kIgnore:
+      return;
+    case ct::Vote::kStaleNack:
+      // We advanced past this round (possibly on a wrong suspicion): nack
+      // so the old coordinator advances too.
+      send_nack(k, round, from);
+      return;
+    case ct::Vote::kNack:
+      send_nack(k, round, from);
+      move_on(inst);
+      return;
+    case ct::Vote::kDuplicate:
+      // Retransmitted proposal: re-ack, the coordinator may have missed our
+      // first ack.
+      send_ack(inst, round, from);
+      return;
+    case ct::Vote::kAck:
+      ct::adopt(inst, round);
+      send_ack(inst, round, from);
+      return;
   }
-  if (round > inst.round) inst.round = round;
-
-  if (inst.acked_rounds.count(round) != 0) {
-    // Duplicate (retransmitted) proposal: re-ack, the coordinator may have
-    // missed our first ack.
-    send_ack(inst, round, from);
-    return;
-  }
-  if (inst.nacked_rounds.count(round) != 0) return;
-
-  if (suspects(coordinator(round))) {
-    util::ByteWriter w(16);
-    w.u8(kNack);
-    w.u64(k);
-    w.u32(round);
-    {
-      framework::TraceScope scope(*stack_, k, 0);
-      stack_->send_wire(from, framework::kModMonolithic, w.take());
-    }
-    inst.nacked_rounds.insert(round);
-    advance_round(inst);
-    return;
-  }
-
-  inst.estimate = inst.proposals[round];
-  inst.estimate_ts = round;
-  inst.has_estimate = true;
-  inst.acked_rounds.insert(round);
-  send_ack(inst, round, from);
 }
 
 // --------------------------------------------------------------------------
@@ -635,7 +561,7 @@ void MonolithicAbcast::handle_proposal(util::ProcessId from, std::uint64_t k,
 void MonolithicAbcast::resolve_decision_tag(std::uint64_t k,
                                             std::uint32_t round) {
   if (k < next_decide_) return;  // already applied (possibly pruned)
-  if (decisions_.count(k) != 0) return;
+  if (instances_.decided(k)) return;
   Instance& inst = instance(k);
   auto pit = inst.proposals.find(round);
   if (pit != inst.proposals.end()) {
@@ -649,30 +575,24 @@ void MonolithicAbcast::resolve_decision_tag(std::uint64_t k,
 void MonolithicAbcast::decide(std::uint64_t k, std::uint32_t round,
                               util::Bytes batch) {
   if (k < next_decide_) return;  // already applied (possibly pruned)
-  if (decisions_.count(k) != 0) return;
-  decisions_[k] = batch;
-  decision_rounds_[k] = round;
+  if (instances_.decided(k)) return;
+  Instance* inst = instances_.decide(k, Decided{round, batch});
   stats_.max_round = std::max(stats_.max_round, round);
   if (round > 1) ++stats_.late_decisions;
-
-  auto it = instances_.find(k);
-  if (it != instances_.end()) {
-    Instance& inst = it->second;
-    inst.decided = true;
-    inst.decided_round = round;
-    if (inst.pull_timer != runtime::kInvalidTimer) {
-      stack_->rt().cancel_timer(inst.pull_timer);
-      inst.pull_timer = runtime::kInvalidTimer;
+  if (inst != nullptr) {
+    if (inst->pull_timer != runtime::kInvalidTimer) {
+      stack_->rt().cancel_timer(inst->pull_timer);
+      inst->pull_timer = runtime::kInvalidTimer;
     }
-    if (inst.retransmit_timer != runtime::kInvalidTimer) {
-      stack_->rt().cancel_timer(inst.retransmit_timer);
-      inst.retransmit_timer = runtime::kInvalidTimer;
+    if (inst->retransmit_timer != runtime::kInvalidTimer) {
+      stack_->rt().cancel_timer(inst->retransmit_timer);
+      inst->retransmit_timer = runtime::kInvalidTimer;
     }
   }
 
   ready_decisions_[k] = std::move(batch);
   apply_ready_decisions();
-  prune(k);
+  instances_.prune(config_.decision_retention, k);
 }
 
 void MonolithicAbcast::apply_ready_decisions() {
@@ -719,15 +639,14 @@ void MonolithicAbcast::apply_ready_decisions() {
   // Keep making progress when the initial coordinator is gone: without this
   // the next instance would only start at the silence timer, serializing
   // recovery at liveness_timeout per instance.
-  if (suspects(coordinator(1))) ensure_instance_progress();
+  if (suspects(group().coordinator(1))) ensure_instance_progress();
 }
 
 void MonolithicAbcast::recheck_active_estimates() {
-  auto it = instances_.find(next_decide_);
-  if (it == instances_.end()) return;
-  Instance& inst = it->second;
-  if (inst.decided || inst.round <= 1) return;
-  const util::ProcessId c = coordinator(inst.round);
+  Instance* found = instances_.find(next_decide_);
+  if (found == nullptr || found->decided || found->round <= 1) return;
+  Instance& inst = *found;
+  const util::ProcessId c = group().coordinator(inst.round);
   if (c == stack_->self()) {
     // Coordinator: our own (unlocked) estimate refreshes inside.
     check_estimates(inst, inst.round);
@@ -748,13 +667,13 @@ void MonolithicAbcast::recheck_active_estimates() {
 
 bool MonolithicAbcast::reply_decision_if_known(util::ProcessId to,
                                                std::uint64_t k) {
-  auto it = decisions_.find(k);
-  if (it == decisions_.end()) return false;
-  util::ByteWriter w(it->second.size() + 16);
+  const Decided* d = instances_.decision(k);
+  if (d == nullptr) return false;
+  util::ByteWriter w(d->batch.size() + 16);
   w.u8(kFullReply);
   w.u64(k);
-  w.u32(decision_rounds_[k]);
-  w.raw(it->second);
+  w.u32(d->round);
+  w.raw(d->batch);
   framework::TraceScope scope(*stack_, k, 0);
   stack_->send_wire(to, framework::kModMonolithic, w.take());
   return true;
@@ -771,10 +690,10 @@ void MonolithicAbcast::start_pull(Instance& inst) {
   stats_.pulls_sent += stack_->group_size() - 1;
   const std::uint64_t k = inst.k;
   inst.pull_timer = stack_->rt().set_timer(config_.pull_retry, [this, k] {
-    auto it = instances_.find(k);
-    if (it == instances_.end() || it->second.decided) return;
-    it->second.pull_timer = runtime::kInvalidTimer;
-    start_pull(it->second);
+    Instance* inst = instances_.find(k);
+    if (inst == nullptr || inst->decided) return;
+    inst->pull_timer = runtime::kInvalidTimer;
+    start_pull(*inst);
   });
 }
 
@@ -812,7 +731,7 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       }
       const std::uint64_t k = r.u64();
       util::Bytes batch(r.rest().begin(), r.rest().end());
-      handle_proposal(from, k, 1, std::move(batch), /*from_combined=*/true);
+      handle_proposal(from, k, 1, std::move(batch));
       break;
     }
     case kAck: {
@@ -820,12 +739,10 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       const std::uint32_t round = r.u32();
       util::Bytes piggy(r.rest().begin(), r.rest().end());
       for (auto& m : adb::decode_batch(piggy)) pool_add(std::move(m));
-      if (k >= next_decide_ && decisions_.count(k) == 0) {
+      if (k >= next_decide_ && !instances_.decided(k)) {
         Instance& inst = instance(k);
-        if (!inst.decided && coordinator(round) == stack_->self() &&
-            inst.proposed_rounds.count(round) != 0) {
-          inst.ack_senders[round].insert(from);
-          maybe_decide_as_coordinator(inst, round);
+        if (ct::count_ack(inst, group(), round, from)) {
+          coordinator_decided(inst, round);
         }
       }
       start_instances();
@@ -846,7 +763,7 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       const std::uint32_t round = r.u32();
       resolve_decision_tag(k, round);
       if (!config_.opt_cheap_decision &&
-          is_designated_resender(coordinator(round), stack_->self()) &&
+          is_designated_resender(group().coordinator(round), stack_->self()) &&
           relayed_decisions_.mark(kRelayTagChannel, k)) {
         util::ByteWriter w(16);
         w.u8(kDecisionTag);
@@ -865,12 +782,12 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       util::Bytes est = r.blob();
       util::Bytes piggy(r.rest().begin(), r.rest().end());
       for (auto& m : adb::decode_batch(piggy)) pool_add(std::move(m));
-      if (decisions_.count(k) != 0 || k < next_decide_) {
+      if (instances_.decided(k) || k < next_decide_) {
         reply_decision_if_known(from, k);
         break;
       }
       Instance& inst = instance(k);
-      inst.estimates[round][from] = {ts, std::move(est)};
+      ct::record_estimate(inst, group(), round, from, ts, std::move(est));
       check_estimates(inst, round);
       break;
     }
@@ -878,8 +795,7 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
       util::Bytes batch(r.rest().begin(), r.rest().end());
-      handle_proposal(from, k, round, std::move(batch),
-                      /*from_combined=*/false);
+      handle_proposal(from, k, round, std::move(batch));
       break;
     }
     case kDecisionFull: {
@@ -898,15 +814,9 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
     case kNack: {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
-      if (decisions_.count(k) != 0) {
-        reply_decision_if_known(from, k);
-        break;
-      }
+      if (reply_decision_if_known(from, k)) break;
       Instance& inst = instance(k);
-      if (coordinator(round) == stack_->self() && !inst.decided &&
-          inst.round == round) {
-        advance_round(inst);
-      }
+      if (ct::leaves_on_nack(inst, group(), round)) move_on(inst);
       break;
     }
     case kPull: {
@@ -929,7 +839,7 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       if (k < next_decide_) break;
       Instance& inst = instance(k);
       if (inst.decided) break;
-      if (round > inst.round) inst.round = round;  // join the recovery round
+      ct::enter_round(inst, group(), round);  // join the recovery round
       // Send (or refresh, if unlocked) our estimate for the round. An empty
       // pool yields an empty batch — that still counts toward majority.
       if (inst.estimate_ts == 0) {
@@ -950,27 +860,13 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
 // --------------------------------------------------------------------------
 
 void MonolithicAbcast::on_suspect(util::ProcessId q) {
-  if (q == stack_->self()) return;
-  std::vector<std::uint64_t> keys;
-  keys.reserve(instances_.size());
-  for (const auto& [k, inst] : instances_) keys.push_back(k);
-  for (std::uint64_t k : keys) {
-    auto it = instances_.find(k);
-    if (it == instances_.end()) continue;
-    Instance& inst = it->second;
-    if (inst.decided || coordinator(inst.round) != q) continue;
-    util::ByteWriter w(16);
-    w.u8(kNack);
-    w.u64(k);
-    w.u32(inst.round);
-    {
-      framework::TraceScope scope(*stack_, k, 0);
-      stack_->send_wire(q, framework::kModMonolithic, w.take());
-    }
-    inst.nacked_rounds.insert(inst.round);
-    advance_round(inst);
-  }
-  ensure_instance_progress();
+  const ct::Group g = group();
+  instances_.for_each_undecided([&](Instance& inst) {
+    if (!ct::suspect(inst, g, q)) return;
+    send_nack(inst.k, inst.round, q);
+    move_on(inst);
+  });
+  if (q != g.self) ensure_instance_progress();
 }
 
 void MonolithicAbcast::ensure_instance_progress() {
@@ -978,12 +874,13 @@ void MonolithicAbcast::ensure_instance_progress() {
     start_instances();
     return;
   }
-  if (decisions_.count(next_decide_) != 0) return;
+  if (instances_.decided(next_decide_)) return;
   // Join recovery for the next instance even with nothing of our own to
   // order: the new coordinator needs a majority of estimates, and other
   // processes may hold undelivered messages we know nothing about (§3.3's
   // "starts a consensus even if no message arrives").
-  if (!suspects(coordinator(1))) return;
+  const util::ProcessId c1 = group().coordinator(1);
+  if (!suspects(c1)) return;
   Instance& inst = instance(next_decide_);
   if (inst.decided) return;
   if (inst.round == 1 && inst.acked_rounds.empty() &&
@@ -991,15 +888,8 @@ void MonolithicAbcast::ensure_instance_progress() {
     // Nack round 1 in case the suspected coordinator is actually alive and
     // already proposed (or will): it must not wait for our ack.
     inst.nacked_rounds.insert(1);
-    util::ByteWriter w(16);
-    w.u8(kNack);
-    w.u64(inst.k);
-    w.u32(1);
-    {
-      framework::TraceScope scope(*stack_, inst.k, 0);
-      stack_->send_wire(coordinator(1), framework::kModMonolithic, w.take());
-    }
-    advance_round(inst);
+    send_nack(inst.k, 1, c1);
+    move_on(inst);
   }
 }
 
@@ -1033,52 +923,6 @@ void MonolithicAbcast::arm_liveness_timer() {
     }
     arm_liveness_timer();
   });
-}
-
-std::string MonolithicAbcast::debug_state() const {
-  std::string out = "next_decide=" + std::to_string(next_decide_) +
-                    " next_start=" + std::to_string(next_start_) +
-                    " pool=" + std::to_string(pool_.live()) +
-                    " own_pending=" + std::to_string(own_pending_.size()) +
-                    " outbox=" + std::to_string(outbox_.size()) + "\n";
-  for (const auto& [k, inst] : instances_) {
-    if (inst.decided) continue;
-    out += "  inst k=" + std::to_string(k) +
-           " round=" + std::to_string(inst.round) + " proposed={";
-    for (auto r : inst.proposed_rounds) out += std::to_string(r) + ",";
-    out += "} acked={";
-    for (auto r : inst.acked_rounds) out += std::to_string(r) + ",";
-    out += "} nacked={";
-    for (auto r : inst.nacked_rounds) out += std::to_string(r) + ",";
-    out += "} est_sent={";
-    for (auto r : inst.estimate_sent) out += std::to_string(r) + ",";
-    out += "}";
-    for (const auto& [r, ests] : inst.estimates) {
-      out += " ests[r" + std::to_string(r) + "]=" +
-             std::to_string(ests.size());
-    }
-    for (const auto& [r, acks] : inst.ack_senders) {
-      out += " acks[r" + std::to_string(r) + "]=" +
-             std::to_string(acks.size());
-    }
-    out += " tag=" +
-           (inst.pending_tag_round
-                ? std::to_string(*inst.pending_tag_round)
-                : std::string("-"));
-    out += "\n";
-  }
-  return out;
-}
-
-void MonolithicAbcast::prune(std::uint64_t except_k) {
-  while (decisions_.size() > config_.decision_retention) {
-    const std::uint64_t oldest = decisions_.begin()->first;
-    if (oldest == except_k) break;
-    decisions_.erase(decisions_.begin());
-    decision_rounds_.erase(oldest);
-    auto it = instances_.find(oldest);
-    if (it != instances_.end() && it->second.decided) instances_.erase(it);
-  }
 }
 
 }  // namespace modcast::monolithic

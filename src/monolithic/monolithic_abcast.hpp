@@ -32,13 +32,11 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <optional>
-#include <set>
-#include <string>
 #include <vector>
 
 #include "adb/batcher.hpp"
 #include "adb/types.hpp"
+#include "ct/round_core.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "framework/stack.hpp"
 #include "util/seq_tracker.hpp"
@@ -129,42 +127,30 @@ class MonolithicAbcast final : public framework::Module {
   std::uint64_t next_decide() const { return next_decide_; }
   std::size_t pool_size() const { return pool_.live(); }
 
-  /// Human-readable snapshot of live instance state (diagnostics/tests).
-  std::string debug_state() const;
-
  private:
-  struct Instance {
-    std::uint64_t k = 0;
-    std::uint32_t round = 1;
-    bool decided = false;
-    std::uint32_t decided_round = 0;
-    util::Bytes estimate;
-    std::uint32_t estimate_ts = 0;
-    bool has_estimate = false;
-    std::map<std::uint32_t, util::Bytes> proposals;
-    std::set<std::uint32_t> acked_rounds;
-    std::set<std::uint32_t> nacked_rounds;
-    std::set<std::uint32_t> proposed_rounds;
-    std::map<std::uint32_t, std::set<util::ProcessId>> ack_senders;
-    /// Per round: estimate (adoption ts, value) keyed by sender, so a
-    /// refreshed estimate replaces the stale one instead of double-counting.
-    std::map<std::uint32_t,
-             std::map<util::ProcessId, std::pair<std::uint32_t, util::Bytes>>>
-        estimates;
-    std::set<std::uint32_t> own_estimate_added;
-    std::set<std::uint32_t> estimate_sent;
-    std::set<std::uint32_t> solicited_rounds;
-    std::optional<std::uint32_t> pending_tag_round;
+  struct Instance : ct::RoundState {
     runtime::TimerId pull_timer = runtime::kInvalidTimer;
     runtime::TimerId retransmit_timer = runtime::kInvalidTimer;
   };
+  /// A retained decision: the round that decided it and the batch.
+  struct Decided {
+    std::uint32_t round = 0;
+    util::Bytes batch;
+  };
 
   // --- identity helpers ---
-  util::ProcessId coordinator(std::uint32_t round) const;
-  std::size_t majority() const;
-  bool suspects(util::ProcessId q) const;
-  bool i_am_initial_coordinator() const;
-  Instance& instance(std::uint64_t k);
+  ct::Group group() const { return {stack_->group_size(), stack_->self()}; }
+  bool suspects(util::ProcessId q) const {
+    return fd_ != nullptr && fd_->suspects(q);
+  }
+  bool i_am_initial_coordinator() const {
+    return stack_->self() == group().coordinator(1);
+  }
+  Instance& instance(std::uint64_t k) { return instances_.at(k); }
+  std::uint32_t decision_round(std::uint64_t k) const {
+    const Decided* d = instances_.decision(k);
+    return d == nullptr ? 0 : d->round;
+  }
 
   // --- application / flow control ---
   void admit_queued();
@@ -188,14 +174,14 @@ class MonolithicAbcast final : public framework::Module {
   void arm_retransmit(Instance& inst, std::uint32_t round);
 
   // --- round machinery (recovery) ---
-  void advance_round(Instance& inst);
+  void move_on(Instance& inst);
+  void ensure_estimate(Instance& inst);
   void send_estimate(Instance& inst, std::uint32_t round,
                      util::ProcessId coord);
+  void send_nack(std::uint64_t k, std::uint32_t round, util::ProcessId to);
   void check_estimates(Instance& inst, std::uint32_t round);
-  void maybe_decide_as_coordinator(Instance& inst, std::uint32_t round);
   void handle_proposal(util::ProcessId from, std::uint64_t k,
-                       std::uint32_t round, util::Bytes batch,
-                       bool from_combined);
+                       std::uint32_t round, util::Bytes batch);
   void send_ack(Instance& inst, std::uint32_t round, util::ProcessId coord);
 
   // --- decisions ---
@@ -222,7 +208,6 @@ class MonolithicAbcast final : public framework::Module {
   void on_suspect(util::ProcessId q);
   void ensure_instance_progress();
   void arm_liveness_timer();
-  void prune(std::uint64_t except_k);
 
   MonolithicConfig config_;
   const fd::HeartbeatFd* fd_;
@@ -246,9 +231,7 @@ class MonolithicAbcast final : public framework::Module {
   util::SeqTracker delivered_;
 
   // Instance bookkeeping.
-  std::map<std::uint64_t, Instance> instances_;
-  std::map<std::uint64_t, util::Bytes> decisions_;
-  std::map<std::uint64_t, std::uint32_t> decision_rounds_;
+  ct::Instances<Instance, Decided> instances_;
   std::uint64_t next_decide_ = 0;
   std::uint64_t next_start_ = 0;  ///< coordinator: next instance to propose
   /// §4.1 combine, pipelined: decisions reached but not yet shipped in a

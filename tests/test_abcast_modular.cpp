@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <vector>
 
 #include "analysis/analytical_model.hpp"
 #include "core/sim_group.hpp"
+#include "util/rng.hpp"
+#include "workload/campaign.hpp"
 
 namespace modcast::abcast {
 namespace {
@@ -237,6 +241,62 @@ TEST(ModularAbcastFaults, MessageLossRecoveredByLivenessTimer) {
   EXPECT_EQ(group.deliveries(1).size(), 10u);
   auto check = core::check_agreement_among_correct(group);
   EXPECT_TRUE(check.ok) << check.detail;
+}
+
+TEST(ModularAbcastFaults, StaggeredCoordinatorCrashesUnderLossKeepDelivering) {
+  // The coordinators of rounds 1-3 crash one after another under 1 % frame
+  // loss (the coord-crash-n7 benchmark workload, shrunk). Loss delays
+  // heartbeats, so the coordinator of a recovery round can receive its
+  // peers' estimates before it suspects its predecessor itself; it must
+  // count its own estimate then, or it waits forever for a majority it
+  // already has and the survivors stop delivering.
+  for (std::uint64_t seed : {8u, 26u}) {
+    core::SimGroupConfig cfg;
+    cfg.n = 7;
+    cfg.seed = seed;
+    cfg.stack = workload::CampaignConfig::campaign_stack_defaults();
+    cfg.stack.kind = core::StackKind::kModular;
+    cfg.drop_probability = 0.01;
+    cfg.reliable_channels = true;
+    core::SimGroup group(cfg);
+    group.start();
+    // 600 msgs/s of 1 KiB overall: each process offers one message per
+    // period, at a seeded point inside it.
+    const util::Duration period = util::kSecond * 7 / 600;
+    const util::TimePoint end = seconds(13);
+    std::vector<util::Rng> rngs;
+    for (util::ProcessId p = 0; p < 7; ++p) rngs.emplace_back(seed * 1000 + p);
+    std::vector<std::uint64_t> slots(7, 0);
+    std::function<void(util::ProcessId)> tick = [&](util::ProcessId p) {
+      if (group.crashed(p)) return;
+      if (group.process(p).queued() < 64) {
+        group.process(p).abcast(util::Bytes(1024, 0));
+      }
+      const auto next = static_cast<util::TimePoint>(
+          (static_cast<double>(slots[p]++) + rngs[p].uniform_double()) *
+          static_cast<double>(period));
+      if (next < end) {
+        group.world().simulator().at(next, [&tick, p] { tick(p); });
+      }
+    };
+    for (util::ProcessId p = 0; p < 7; ++p) tick(p);
+    const util::TimePoint last_crash = seconds(11);
+    group.crash_at(0, seconds(3));
+    group.crash_at(1, seconds(7));
+    group.crash_at(2, last_crash);
+    group.run_until(end);
+
+    for (util::ProcessId p = 3; p < 7; ++p) {
+      std::size_t after = 0;
+      for (const auto& d : group.deliveries(p)) {
+        if (d.at > last_crash + seconds(1)) ++after;
+      }
+      EXPECT_GT(after, 0u) << "seed " << seed << ": p" << p
+                           << " stopped delivering after the last crash";
+    }
+    auto check = core::check_agreement_among_correct(group);
+    EXPECT_TRUE(check.ok) << "seed " << seed << ": " << check.detail;
+  }
 }
 
 TEST(ModularAbcastDeterminism, SameSeedSameRun) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "stack_harness.hpp"
 
@@ -141,8 +143,8 @@ TEST(ConsensusCrash, CoordinatorCrashBeforeProposalDecidesInLaterRound) {
   }
   h.run_until(seconds(2));
   // Either survivor's estimate may win (both carry timestamp 0; the round-2
-  // coordinator picks the first maximal one it collected) — what matters is
-  // agreement and that recovery needed a later round.
+  // coordinator's locking rule breaks the tie) — what matters is agreement
+  // and that recovery needed a later round.
   assert_decided_same(h, 0, {"v1", "v2"});
   EXPECT_GE(h.node(1).cons.stats().max_round, 2u);
 }
@@ -219,6 +221,42 @@ TEST(ConsensusLiveness, NudgeLetsValuelessCoordinatorPropose) {
     EXPECT_EQ(string_of(it->second), "only-one");
   }
   EXPECT_GE(h.node(1).cons.stats().nudges_sent, 1u);
+}
+
+TEST(ConsensusRecovery, CoordinatorCountsOwnEstimateWhenPeersArriveFirst) {
+  // p0 crashes. p2 suspects it quickly and sends its round-2 estimate to
+  // p1, the round-2 coordinator, whose slow failure detector does not
+  // suspect p0 yet. With majority − 1 = 1 peer estimate in hand, p1 must
+  // enter round 2, count its own estimate and propose — not wait for its
+  // own suspicion of p0.
+  runtime::SimWorldConfig wc;
+  wc.n = 3;
+  runtime::SimWorld world(wc);
+  fd::FdConfig slow = fast_fd();
+  slow.timeout = seconds(30);
+  std::vector<std::unique_ptr<test::Node>> nodes;
+  for (util::ProcessId p = 0; p < 3; ++p) {
+    nodes.push_back(std::make_unique<test::Node>(world.runtime(p),
+                                                 p == 1 ? slow : fast_fd()));
+    nodes.back()->record_all();
+    world.attach(p, &nodes.back()->stack);
+  }
+  world.start();
+  world.crash_at(0, milliseconds(1));
+  for (util::ProcessId p = 1; p < 3; ++p) {
+    world.simulator().at(milliseconds(5), [&nodes, p] {
+      nodes[p]->cons.propose(0, bytes_of("v" + std::to_string(p)));
+    });
+  }
+  world.run_until(seconds(2));
+  EXPECT_TRUE(nodes[1]->fd.suspected().empty());
+  for (util::ProcessId p = 1; p < 3; ++p) {
+    auto it = nodes[p]->decided.find(0);
+    ASSERT_TRUE(it != nodes[p]->decided.end()) << "process " << p;
+    // Both estimates are unlocked and equally long: the bytewise larger wins.
+    EXPECT_EQ(string_of(it->second), "v2");
+  }
+  EXPECT_EQ(nodes[1]->cons.stats().max_round, 2u);
 }
 
 TEST(ConsensusRecovery, DecisionTagWithoutProposalTriggersPull) {

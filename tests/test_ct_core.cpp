@@ -1,0 +1,191 @@
+// Unit tests: the sans-IO Chandra–Toueg round core shared by both stacks.
+#include "ct/round_core.hpp"
+
+#include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+
+namespace modcast::ct {
+namespace {
+
+util::Bytes bytes_of(const std::string& s) {
+  return util::Bytes(s.begin(), s.end());
+}
+
+/// A process holding an unlocked initial estimate, as its shell leaves it.
+RoundState with_estimate(const std::string& value) {
+  RoundState s;
+  s.has_estimate = true;
+  s.estimate = bytes_of(value);
+  return s;
+}
+
+Suspects suspecting(std::set<util::ProcessId> suspected) {
+  return [suspected](util::ProcessId q) { return suspected.count(q) != 0; };
+}
+
+TEST(CtCore, EstimateArrivalOrderDoesNotMatter) {
+  const Group g{5, 2};  // p2 coordinates round 3
+  RoundState a = with_estimate("own");
+  RoundState b = a;
+  record_estimate(a, g, 3, 0, 0, bytes_of("x"));
+  record_estimate(a, g, 3, 4, 1, bytes_of("yy"));
+  record_estimate(b, g, 3, 4, 1, bytes_of("yy"));
+  record_estimate(b, g, 3, 0, 0, bytes_of("x"));
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.round, 3u);
+}
+
+TEST(CtCore, RefreshedEstimateCountsOnce) {
+  const Group g{5, 1};  // majority 3; p1 coordinates round 2
+  RoundState s = with_estimate("own");
+  record_estimate(s, g, 2, 3, 0, bytes_of("old"));
+  record_estimate(s, g, 2, 3, 0, bytes_of("newer"));
+  EXPECT_EQ(s.estimates[2].size(), 2u);  // p3 once, plus our own
+  EXPECT_EQ(s.estimates[2][3].value, bytes_of("newer"));
+  EXPECT_EQ(locked_estimate(s, g, 2), nullptr);
+  record_estimate(s, g, 2, 4, 0, bytes_of("z"));
+  EXPECT_NE(locked_estimate(s, g, 2), nullptr);
+}
+
+TEST(CtCore, MajorityPerGroupSize) {
+  EXPECT_EQ((Group{3, 0}.majority()), 2u);
+  EXPECT_EQ((Group{4, 0}.majority()), 3u);
+  EXPECT_EQ((Group{5, 0}.majority()), 3u);
+  EXPECT_EQ((Group{7, 0}.majority()), 4u);
+}
+
+TEST(CtCore, CoordinatorRotatesEveryRound) {
+  const Group g{3, 0};
+  EXPECT_EQ(g.coordinator(1), 0u);
+  EXPECT_EQ(g.coordinator(2), 1u);
+  EXPECT_EQ(g.coordinator(3), 2u);
+  EXPECT_EQ(g.coordinator(4), 0u);
+}
+
+TEST(CtCore, AdvanceSkipsSuspectedCoordinatorsAndStopsAtSelf) {
+  const Group g{5, 3};
+  RoundState s = with_estimate("mine");
+  // p1 and p2 (rounds 2 and 3) are suspected; round 4 is ours.
+  const std::uint32_t first = advance_round(s, g, suspecting({0, 1, 2}));
+  EXPECT_EQ(first, 2u);
+  EXPECT_EQ(s.round, 4u);
+  EXPECT_EQ(s.nacked_rounds, (std::set<std::uint32_t>{2, 3}));
+  // Entering our own round records our estimate (rule 3).
+  ASSERT_EQ(s.estimates[4].count(3), 1u);
+  EXPECT_EQ(s.estimates[4][3].value, bytes_of("mine"));
+
+  // Everyone else suspected: still stops at self within n rounds.
+  RoundState t;
+  advance_round(t, g, suspecting({0, 1, 2, 4}));
+  EXPECT_EQ(t.round, 4u);
+  EXPECT_LE(t.round - 1, g.n);
+
+  // An unsuspected coordinator stops the rotation at once.
+  RoundState u;
+  EXPECT_EQ(advance_round(u, g, suspecting({})), 2u);
+  EXPECT_EQ(u.round, 2u);
+  EXPECT_TRUE(u.nacked_rounds.empty());
+}
+
+TEST(CtCore, EnteredCoordinatorNacksLowerRounds) {
+  // p2 coordinates round 3 and enters it when a peer estimate arrives;
+  // a round-2 proposal arriving afterwards must be nacked, never acked —
+  // acking it would leave our recorded round-3 estimate stale.
+  const Group g{3, 2};
+  RoundState s = with_estimate("mine");
+  s.round = 2;
+  record_estimate(s, g, 3, 0, 0, bytes_of("peer"));
+  EXPECT_EQ(s.round, 3u);
+  ASSERT_EQ(s.estimates[3].count(2), 1u);
+  s.proposals[2] = bytes_of("stale");
+  EXPECT_EQ(vote(s, g, 2, /*coordinator_suspected=*/false), Vote::kStaleNack);
+  EXPECT_EQ(s.acked_rounds.count(2), 0u);
+  EXPECT_EQ(s.estimate_ts, 0u);
+  EXPECT_FALSE(may_propose(s, g, 2));
+  EXPECT_TRUE(may_propose(s, g, 3));
+  // A locked own entry is never refreshed.
+  s.estimates[3][2].ts = 1;
+  refresh_own_estimate(s, g, 3);
+  EXPECT_EQ(s.estimates[3][2].ts, 1u);
+}
+
+TEST(CtCore, LockingPicksHighestTsThenLargerValueThenLowestSender) {
+  std::map<util::ProcessId, Estimate> ests;
+  ests[0] = {0, bytes_of("aaaaaaaa")};
+  ests[1] = {2, bytes_of("b")};
+  ests[2] = {2, bytes_of("cc")};
+  ests[3] = {2, bytes_of("dd")};
+  ests[4] = {1, bytes_of("eeeeeeeeee")};
+  const Estimate* best = locking_rule(ests);
+  ASSERT_NE(best, nullptr);
+  EXPECT_EQ(best->value, bytes_of("dd"));  // equal length: bytewise larger
+
+  // Identical values: the lowest sender's entry.
+  ests[3].value = bytes_of("cc");
+  EXPECT_EQ(locking_rule(ests), &ests.at(2));
+
+  // An empty batch never shadows a non-empty one among unlocked estimates.
+  std::map<util::ProcessId, Estimate> unlocked;
+  unlocked[0] = {0, {}};
+  unlocked[5] = {0, bytes_of("m")};
+  EXPECT_EQ(locking_rule(unlocked)->value, bytes_of("m"));
+  EXPECT_EQ(locking_rule({}), nullptr);
+}
+
+TEST(CtCore, AcksDecideAtMajorityWithImplicitSelfAck) {
+  const Group g{5, 0};
+  RoundState s;
+  propose(s, 1, bytes_of("v"));
+  EXPECT_EQ(s.estimate_ts, 1u);
+  EXPECT_FALSE(maybe_decide_as_coordinator(s, g, 1));
+  EXPECT_FALSE(count_ack(s, g, 1, 1));
+  EXPECT_FALSE(count_ack(s, g, 1, 1));  // a duplicate ack counts once
+  EXPECT_TRUE(count_ack(s, g, 1, 2));
+  EXPECT_FALSE(count_ack(s, g, 2, 3));  // never proposed in round 2
+}
+
+TEST(CtCore, VoteAcksSuspectsAndCatchesUp) {
+  const Group g{3, 2};
+  RoundState s;
+  s.proposals[1] = bytes_of("p");
+  EXPECT_EQ(vote(s, g, 1, false), Vote::kAck);
+  adopt(s, 1);
+  EXPECT_EQ(s.estimate, bytes_of("p"));
+  EXPECT_EQ(vote(s, g, 1, false), Vote::kDuplicate);
+  s.proposals[2] = bytes_of("q");
+  EXPECT_EQ(vote(s, g, 2, true), Vote::kNack);
+  EXPECT_EQ(s.round, 2u);
+  EXPECT_EQ(vote(s, g, 2, false), Vote::kIgnore);
+}
+
+struct Inst : RoundState {
+  int timer = 0;
+};
+
+TEST(CtCore, InstancesPruneOldestDecidedAndBornDecided) {
+  Instances<Inst> table;
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    table.at(k);
+    EXPECT_NE(table.decide(k, bytes_of("d")), nullptr);
+  }
+  table.at(4);  // still open
+  table.prune(2, 3);
+  EXPECT_FALSE(table.decided(0));
+  EXPECT_FALSE(table.decided(1));
+  EXPECT_TRUE(table.decided(2));
+  EXPECT_EQ(table.find(1), nullptr);
+  ASSERT_NE(table.find(4), nullptr);
+  EXPECT_FALSE(table.find(4)->decided);
+  // Never drops the instance just decided, even beyond retention.
+  table.prune(0, 2);
+  EXPECT_TRUE(table.decided(2));
+  // A decision that arrives before its instance: touched afterwards, the
+  // instance is born decided.
+  EXPECT_EQ(table.decide(9, bytes_of("d")), nullptr);
+  EXPECT_TRUE(table.at(9).decided);
+}
+
+}  // namespace
+}  // namespace modcast::ct
