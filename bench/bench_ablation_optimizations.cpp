@@ -56,9 +56,9 @@ int main(int argc, char** argv) {
     workload::SweepPoint pt;
     pt.n = n;
     pt.stack.kind = core::StackKind::kMonolithic;
-    pt.stack.opt_combine = v.combine;
-    pt.stack.opt_piggyback = v.piggyback;
-    pt.stack.opt_cheap_decision = v.cheap_decision;
+    pt.stack.monolithic.opt_combine = v.combine;
+    pt.stack.monolithic.opt_piggyback = v.piggyback;
+    pt.stack.monolithic.opt_cheap_decision = v.cheap_decision;
     apply_stack_tuning(bc, pt.stack);
     pt.workload = wl;
     pt.seeds = bc.seeds;

@@ -71,11 +71,11 @@ int main(int argc, char** argv) {
       pt.stack.kind = kind;
       // A window deep enough that flow control never starves the batcher;
       // identical across variants so only batching/pipelining differ.
-      pt.stack.window = batch;
-      pt.stack.max_batch = v.batched ? batch : 1;
-      pt.stack.batch_bytes = v.batched ? batch_bytes : 0;
-      pt.stack.batch_delay = v.batched ? delay : 0;
-      pt.stack.pipeline_depth = v.pipelined ? depth : 1;
+      pt.stack.flow.window = batch;
+      pt.stack.flow.max_batch = v.batched ? batch : 1;
+      pt.stack.flow.batch_bytes = v.batched ? batch_bytes : 0;
+      pt.stack.flow.batch_delay = v.batched ? delay : 0;
+      pt.stack.flow.pipeline_depth = v.pipelined ? depth : 1;
       pt.workload = wl;
       pt.seeds = bc.seeds;
       points.push_back(pt);

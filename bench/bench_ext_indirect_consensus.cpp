@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   core::StackOptions modular;
   modular.kind = core::StackKind::kModular;
   core::StackOptions indirect = modular;
-  indirect.indirect_consensus = true;
+  indirect.modular.indirect_consensus = true;
   core::StackOptions mono;
   mono.kind = core::StackKind::kMonolithic;
 

@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
     pt.workload.collect_metrics = !bc.trace_out.empty();
     pt.seeds = bc.seeds;
     pt.stack.kind = core::StackKind::kModular;
-    pt.stack.max_batch = 4;
-    pt.stack.window = 4;
+    pt.stack.flow.max_batch = 4;
+    pt.stack.flow.window = 4;
     apply_stack_tuning(bc, pt.stack);
     points.push_back(pt);
     pt.stack.kind = core::StackKind::kMonolithic;

@@ -84,10 +84,10 @@ inline BenchConfig bench_config(const util::Flags& flags) {
 /// No-op with all four at their 0 defaults (byte-identical figure benches).
 inline void apply_stack_tuning(const BenchConfig& bc,
                                core::StackOptions& stack) {
-  if (bc.batch_count > 0) stack.max_batch = bc.batch_count;
-  if (bc.batch_bytes > 0) stack.batch_bytes = bc.batch_bytes;
-  if (bc.batch_delay > 0) stack.batch_delay = bc.batch_delay;
-  if (bc.pipeline_depth > 0) stack.pipeline_depth = bc.pipeline_depth;
+  if (bc.batch_count > 0) stack.flow.max_batch = bc.batch_count;
+  if (bc.batch_bytes > 0) stack.flow.batch_bytes = bc.batch_bytes;
+  if (bc.batch_delay > 0) stack.flow.batch_delay = bc.batch_delay;
+  if (bc.pipeline_depth > 0) stack.flow.pipeline_depth = bc.pipeline_depth;
 }
 
 inline workload::SweepPoint sweep_point(const Curve& curve,
@@ -142,7 +142,7 @@ inline bool run_validation_suite(const BenchConfig& bc,
          {core::StackKind::kMonolithic, core::StackKind::kModular}) {
       workload::ValidationConfig vc;
       vc.n = n;
-      vc.kind = kind;
+      vc.stack.kind = kind;
       vc.message_size = message_size;
       const auto r = workload::run_model_validation(vc);
       std::printf("validate n=%zu %-10s %s\n", n, core::to_string(kind),

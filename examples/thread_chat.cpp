@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
                                     : core::StackKind::kMonolithic;
     opts.fd.heartbeat_interval = util::milliseconds(20);
     opts.fd.timeout = util::milliseconds(200);
-    opts.liveness_timeout = util::milliseconds(100);
+    opts.flow.liveness_timeout = util::milliseconds(100);
     procs.push_back(
         std::make_unique<core::AbcastProcess>(world.runtime(p), opts));
     procs[p]->set_deliver_handler([&, p](util::ProcessId origin,

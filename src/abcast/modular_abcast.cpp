@@ -1,7 +1,5 @@
 #include "abcast/modular_abcast.hpp"
 
-#include <algorithm>
-
 #include "util/log.hpp"
 
 namespace modcast::abcast {
@@ -10,16 +8,11 @@ namespace {
 constexpr std::uint8_t kDiffuse = 1;
 constexpr std::uint8_t kPayloadPull = 2;  ///< indirect: ids whose payloads we need
 constexpr std::uint8_t kPayloadPush = 3;  ///< indirect: requested payloads
-
-std::size_t batch_app_bytes(const std::vector<AppMessage>& batch) {
-  std::size_t bytes = 0;
-  for (const AppMessage& m : batch) bytes += m.payload.size();
-  return bytes;
-}
 }
 
 void ModularAbcast::init(framework::Stack& stack) {
   stack_ = &stack;
+  flow_.set_self(stack.self());
   stack.bind_wire(framework::kModAbcast,
                   [this](util::ProcessId from, util::Payload msg) {
                     on_wire(from, std::move(msg));
@@ -34,15 +27,12 @@ void ModularAbcast::init(framework::Stack& stack) {
 }
 
 void ModularAbcast::on_propose_request(std::uint64_t k) {
-  if (k < next_decide_) return;  // already decided and applied
+  if (k < flow_.next_decide()) return;  // already decided and applied
   // A recovery-round coordinator needs our initial value for instance k.
   // Propose whatever we currently hold — possibly an empty batch ("starts a
-  // consensus even if no message arrives", §3.3). In-flight messages are
-  // included: a recovery proposal must cover everything we hold, and
-  // duplicates across instances are filtered at delivery.
-  std::vector<AppMessage> batch = batcher_.peek(config_.max_batch);
-  next_instance_ = std::max(next_instance_, k + 1);
-  framework::TraceScope scope(*stack_, k, batch_app_bytes(batch));
+  // consensus even if no message arrives", §3.3).
+  std::vector<AppMessage> batch = flow_.recovery_batch(k);
+  framework::TraceScope scope(*stack_, k, adb::payload_bytes(batch));
   stack_->raise(framework::Event::local(
       framework::kEvPropose,
       framework::ConsensusValueBody{k, encode_value(batch)}));
@@ -54,27 +44,18 @@ void ModularAbcast::start() {
 }
 
 std::uint64_t ModularAbcast::abcast(util::Bytes payload) {
-  app_queue_.push_back(std::move(payload));
-  // Admission is strictly FIFO, so this message's eventual sequence number
-  // is fixed by its queue position even if it is not admitted yet.
-  const std::uint64_t seq = next_seq_ + app_queue_.size() - 1;
+  const std::uint64_t seq = flow_.enqueue(std::move(payload));
   admit_queued();
   return seq;
 }
 
 void ModularAbcast::admit_queued() {
-  while (in_flight_ < config_.window && !app_queue_.empty()) {
-    AppMessage m;
-    m.id = MsgId{stack_->self(), next_seq_++};
-    m.payload = std::move(app_queue_.front());
-    app_queue_.pop_front();
-    ++in_flight_;
-    ++stats_.admitted;
-    if (admit_) admit_(m.id.seq);
-    seen_.mark(m.id.origin, m.id.seq);
-    if (config_.indirect_consensus) store_payload(m);
-    diffuse(m);
-    add_pending(std::move(m));
+  while (std::optional<AppMessage> m = flow_.admit_next()) {
+    if (admit_) admit_(m->id.seq);
+    seen_.mark(m->id.origin, m->id.seq);
+    if (config_.indirect_consensus) store_payload(*m);
+    diffuse(*m);
+    add_pending(std::move(*m));
   }
 }
 
@@ -89,9 +70,7 @@ void ModularAbcast::diffuse(const AppMessage& m) {
 }
 
 void ModularAbcast::add_pending(AppMessage m) {
-  if (delivered_.seen(m.id.origin, m.id.seq)) return;
-  if (!batcher_.add(std::move(m), stack_->rt().now())) return;  // duplicate
-  maybe_propose();
+  if (flow_.pool_add(std::move(m), stack_->rt().now())) maybe_propose();
 }
 
 void ModularAbcast::on_wire(util::ProcessId from, util::Payload msg) {
@@ -143,31 +122,24 @@ void ModularAbcast::on_wire(util::ProcessId from, util::Payload msg) {
 }
 
 void ModularAbcast::maybe_propose() {
-  while (true) {
-    // Pipelining gate: at most pipeline_depth instances undecided at once
-    // (depth 1 = the paper's strictly sequential instances).
-    if (next_instance_ - next_decide_ >= config_.pipeline_depth) return;
-    if (batcher_.eligible() == 0) {
+  while (!flow_.pipeline_full()) {
+    if (flow_.pool().eligible() == 0) {
       // Everything eligible was cut (e.g. a size-triggered proposal beat
       // the δ-timer): a still-armed batch timer would only fire to no-op.
       cancel_batch_timer();
       return;
     }
     const util::TimePoint now = stack_->rt().now();
-    if (!batcher_.ready(now)) {
+    if (!flow_.pool().ready(now)) {
       arm_batch_timer(now);
       return;
     }
-    std::vector<AppMessage> batch = batcher_.cut(next_instance_);
+    const std::uint64_t k = flow_.next_instance();
+    std::vector<AppMessage> batch = flow_.cut();
     if (batch.empty()) return;
-
-    const std::uint64_t k = next_instance_++;
-    stats_.max_inflight_instances =
-        std::max<std::uint64_t>(stats_.max_inflight_instances,
-                                next_instance_ - next_decide_);
     // Synchronous raise: the scope also covers the consensus module's
     // round-1 proposal fan-out if this process coordinates k.
-    framework::TraceScope scope(*stack_, k, batch_app_bytes(batch));
+    framework::TraceScope scope(*stack_, k, adb::payload_bytes(batch));
     stack_->raise(framework::Event::local(
         framework::kEvPropose,
         framework::ConsensusValueBody{k, encode_value(batch)}));
@@ -177,7 +149,7 @@ void ModularAbcast::maybe_propose() {
 void ModularAbcast::arm_batch_timer(util::TimePoint now) {
   // δ-time trigger: wake when the oldest eligible message has aged out.
   if (batch_timer_ != runtime::kInvalidTimer) return;
-  const util::TimePoint due = batcher_.deadline();
+  const util::TimePoint due = flow_.pool().deadline();
   const util::Duration wait = due > now ? due - now : 1;
   batch_timer_ = stack_->rt().set_timer(wait, [this] {
     batch_timer_ = runtime::kInvalidTimer;
@@ -202,23 +174,18 @@ util::Bytes ModularAbcast::encode_value(
 
 void ModularAbcast::on_decide(std::uint64_t k, const util::Bytes& value) {
   last_activity_ = stack_->rt().now();
-  if (k < next_decide_) return;  // already applied
-  ready_decisions_[k] = value;
-  apply_ready_decisions();
+  if (flow_.buffer_decision(k, value)) apply_ready_decisions();
 }
 
 void ModularAbcast::apply_ready_decisions() {
-  while (true) {
-    auto it = ready_decisions_.find(next_decide_);
-    if (it == ready_decisions_.end()) break;
-
+  while (const util::Bytes* value = flow_.next_decision()) {
     std::vector<AppMessage> batch;
     if (config_.indirect_consensus) {
       // Resolve ids to payloads; block (and pull) if any is missing. The
       // decision stays buffered so ordering is preserved.
       std::vector<MsgId> missing;
-      for (const MsgId& id : decode_id_batch(it->second)) {
-        if (delivered_.seen(id.origin, id.seq)) continue;  // dup across k
+      for (const MsgId& id : decode_id_batch(*value)) {
+        if (flow_.delivered(id)) continue;  // dup across k
         auto pit = payload_store_.find(id);
         if (pit == payload_store_.end()) {
           missing.push_back(id);
@@ -232,33 +199,14 @@ void ModularAbcast::apply_ready_decisions() {
         break;
       }
     } else {
-      batch = decode_batch(it->second);
+      batch = decode_batch(*value);
     }
-    ready_decisions_.erase(it);
-
-    // Deterministic delivery order within the batch.
-    std::sort(batch.begin(), batch.end(),
-              [](const AppMessage& a, const AppMessage& b) {
-                return a.id < b.id;
-              });
-    for (AppMessage& m : batch) {
-      if (!delivered_.mark(m.id.origin, m.id.seq)) continue;  // dup across k
+    flow_.apply_next(std::move(batch), [this](const AppMessage& m) {
       seen_.mark(m.id.origin, m.id.seq);
-      batcher_.mark_ordered(m.id);
-      if (m.id.origin == stack_->self() && in_flight_ > 0) --in_flight_;
       if (config_.indirect_consensus) retain_delivered(m.id);
-      ++stats_.delivered;
-      ++stats_.messages_in_decisions;
       if (deliver_) deliver_(m.id.origin, m.id.seq, m.payload);
-    }
-    ++stats_.instances_completed;
-    // Clear the in-flight marks only now that the decision is APPLIED: a
-    // decision buffered out of instance order must keep its messages marked,
-    // or they would be re-proposed and the exact §5.2 accounting breaks.
-    batcher_.on_decided(next_decide_);
-    ++next_decide_;
-    next_instance_ = std::max(next_instance_, next_decide_);
-    stack_->rt().charge_cpu(config_.instance_overhead);
+    });
+    stack_->rt().charge_cpu(flow_.config().instance_overhead);
   }
   admit_queued();
   maybe_propose();
@@ -269,8 +217,7 @@ void ModularAbcast::apply_ready_decisions() {
 // ---------------------------------------------------------------------------
 
 bool ModularAbcast::payload_available(const MsgId& id) const {
-  return delivered_.seen(id.origin, id.seq) ||
-         payload_store_.count(id) != 0;
+  return flow_.delivered(id) || payload_store_.count(id) != 0;
 }
 
 void ModularAbcast::store_payload(const AppMessage& m) {
@@ -323,7 +270,7 @@ void ModularAbcast::on_new_payloads() {
   apply_ready_decisions();
   // Quiesced (mirrors the retry timer's own re-arm condition): a pending
   // pull-retry tick would only fire to no-op, so disarm it.
-  if (waiting_validation_.empty() && ready_decisions_.empty())
+  if (waiting_validation_.empty() && flow_.buffered_decisions() == 0)
     cancel_payload_timer();
 }
 
@@ -332,15 +279,13 @@ void ModularAbcast::arm_payload_timer() {
   payload_timer_ =
       stack_->rt().set_timer(config_.payload_pull_retry, [this] {
         payload_timer_ = runtime::kInvalidTimer;
-        const bool blocked_decision =
-            !ready_decisions_.empty() &&
-            ready_decisions_.begin()->first == next_decide_;
+        const bool blocked_decision = flow_.next_decision() != nullptr;
         if (waiting_validation_.empty() && !blocked_decision) return;
         // Retry: on_new_payloads re-raises revalidations and re-attempts
         // the apply, both of which re-issue pulls for what is still
         // missing.
         on_new_payloads();
-        if (!waiting_validation_.empty() || !ready_decisions_.empty()) {
+        if (!waiting_validation_.empty() || flow_.buffered_decisions() != 0) {
           arm_payload_timer();
         }
       });
@@ -354,15 +299,15 @@ void ModularAbcast::cancel_payload_timer() {
 
 void ModularAbcast::arm_liveness_timer() {
   // lifecheck:allow(timer.lost): periodic liveness tick re-arms itself for the whole process lifetime, never cancelled by design
-  stack_->rt().set_timer(config_.liveness_timeout, [this] {
+  stack_->rt().set_timer(flow_.config().liveness_timeout, [this] {
     const util::TimePoint now = stack_->rt().now();
-    if (now - last_activity_ >= config_.liveness_timeout &&
-        !batcher_.empty()) {
+    if (now - last_activity_ >= flow_.config().liveness_timeout &&
+        !flow_.pool().empty()) {
       // §3.3: silence while holding unordered messages — the sender of some
       // of them may have crashed mid-diffusion. Re-diffuse what we hold and
       // start a consensus ourselves.
       ++stats_.liveness_kicks;
-      batcher_.for_each_live([this](const AppMessage& m) { diffuse(m); });
+      flow_.pool().for_each_live([this](const AppMessage& m) { diffuse(m); });
       maybe_propose();
     }
     arm_liveness_timer();

@@ -47,6 +47,12 @@ std::size_t encoded_size(const AppMessage& m) {
   return 4 + 8 + 4 + m.payload.size();
 }
 
+std::size_t payload_bytes(const std::vector<AppMessage>& batch) {
+  std::size_t bytes = 0;
+  for (const AppMessage& m : batch) bytes += m.payload.size();
+  return bytes;
+}
+
 util::Bytes encode_id_batch(const std::vector<MsgId>& ids) {
   util::ByteWriter w(4 + ids.size() * 12);
   w.u32(static_cast<std::uint32_t>(ids.size()));

@@ -40,6 +40,8 @@ std::vector<AppMessage> decode_batch(const util::Bytes& data);
 
 /// Size in bytes encode_message will produce (for size accounting).
 std::size_t encoded_size(const AppMessage& m);
+/// Application payload bytes a batch carries (trace accounting).
+std::size_t payload_bytes(const std::vector<AppMessage>& batch);
 
 /// Id-only batch codec, used by the indirect-consensus variant ([12],
 /// Ekwall & Schiper DSN'06): consensus agrees on 12-byte message ids while

@@ -185,18 +185,12 @@ void ChandraTouegConsensus::send_nack(std::uint64_t k, std::uint32_t round,
 
 void ChandraTouegConsensus::move_on(Instance& inst) {
   const ct::Group g = group();
-  const std::uint32_t first = ct::advance_round(
-      inst, g, [this](util::ProcessId q) { return suspects(q); });
-  // Skipped rounds: their coordinators are suspected; tell them we moved on.
-  for (std::uint32_t r = first; r < inst.round; ++r) {
-    send_estimate(inst, r, g.coordinator(r));
-    send_nack(inst.k, r, g.coordinator(r));
-  }
-  if (g.coordinator(inst.round) == g.self) {
-    check_estimates(inst, inst.round);  // we coordinate: wait for estimates
-  } else {
-    send_estimate(inst, inst.round, g.coordinator(inst.round));
-  }
+  ct::move_on(
+      inst, g, [this](util::ProcessId q) { return suspects(q); },
+      [&](std::uint32_t r) { send_estimate(inst, r, g.coordinator(r)); },
+      [&](std::uint32_t r) { send_nack(inst.k, r, g.coordinator(r)); },
+      // We coordinate: wait for estimates.
+      [&](std::uint32_t r) { check_estimates(inst, r); });
 }
 
 void ChandraTouegConsensus::check_estimates(Instance& inst,

@@ -27,18 +27,10 @@ AbcastProcess::AbcastProcess(runtime::Runtime& rt, StackOptions options)
                                                            fd_.get());
     stack_->add(*consensus_);
 
-    abcast::AbcastConfig cfg;
-    cfg.window = options.window;
-    cfg.max_batch = options.max_batch;
-    cfg.batch_bytes = options.batch_bytes;
-    cfg.batch_delay = options.batch_delay;
-    cfg.pipeline_depth = options.pipeline_depth;
-    cfg.liveness_timeout = options.liveness_timeout;
-    cfg.instance_overhead = options.instance_overhead;
-    cfg.indirect_consensus = options.indirect_consensus;
-    modular_ = std::make_unique<abcast::ModularAbcast>(cfg);
+    modular_ = std::make_unique<abcast::ModularAbcast>(options.flow,
+                                                       options.modular);
     stack_->add(*modular_);
-    if (options.indirect_consensus) {
+    if (options.modular.indirect_consensus) {
       // The extended consensus specification ([12]): consensus defers acks
       // and proposals on values whose payloads this process does not hold.
       consensus_->set_proposal_validator(
@@ -47,20 +39,8 @@ AbcastProcess::AbcastProcess(runtime::Runtime& rt, StackOptions options)
           });
     }
   } else {
-    monolithic::MonolithicConfig cfg;
-    cfg.window = options.window;
-    cfg.max_batch = options.max_batch;
-    cfg.batch_bytes = options.batch_bytes;
-    cfg.batch_delay = options.batch_delay;
-    cfg.pipeline_depth = options.pipeline_depth;
-    cfg.liveness_timeout = options.liveness_timeout;
-    cfg.instance_overhead = options.instance_overhead;
-    cfg.forward_flush_delay = options.forward_flush_delay;
-    cfg.opt_combine = options.opt_combine;
-    cfg.opt_piggyback = options.opt_piggyback;
-    cfg.opt_cheap_decision = options.opt_cheap_decision;
-    monolithic_ =
-        std::make_unique<monolithic::MonolithicAbcast>(cfg, fd_.get());
+    monolithic_ = std::make_unique<monolithic::MonolithicAbcast>(
+        options.flow, options.monolithic, fd_.get());
     stack_->add(*monolithic_);
   }
 }
@@ -90,34 +70,29 @@ void AbcastProcess::set_admit_handler(AdmitFn fn) {
 
 runtime::Protocol& AbcastProcess::protocol() { return *stack_; }
 
+const adb::Flow& AbcastProcess::flow() const {
+  return modular_ ? modular_->flow() : monolithic_->flow();
+}
+
 ProcessStats AbcastProcess::stats() const {
+  const adb::FlowStats& f = flow().stats();
   ProcessStats s;
+  s.delivered = f.delivered;
+  s.instances_completed = f.instances_completed;
+  s.messages_in_decisions = f.messages_in_decisions;
+  s.admitted = f.admitted;
   if (modular_) {
-    const auto& m = modular_->stats();
-    s.delivered = m.delivered;
-    s.instances_completed = m.instances_completed;
-    s.messages_in_decisions = m.messages_in_decisions;
-    s.admitted = m.admitted;
     s.max_round = consensus_->stats().max_round;
     s.late_decisions = consensus_->stats().late_decisions;
   } else {
-    const auto& m = monolithic_->stats();
-    s.delivered = m.delivered;
-    s.instances_completed = m.instances_completed;
-    s.messages_in_decisions = m.messages_in_decisions;
-    s.admitted = m.admitted;
-    s.max_round = m.max_round;
-    s.late_decisions = m.late_decisions;
+    s.max_round = monolithic_->stats().max_round;
+    s.late_decisions = monolithic_->stats().late_decisions;
   }
   return s;
 }
 
-std::size_t AbcastProcess::queued() const {
-  return modular_ ? modular_->queued() : monolithic_->queued();
-}
+std::size_t AbcastProcess::queued() const { return flow().queued(); }
 
-std::size_t AbcastProcess::in_flight() const {
-  return modular_ ? modular_->in_flight() : monolithic_->in_flight();
-}
+std::size_t AbcastProcess::in_flight() const { return flow().in_flight(); }
 
 }  // namespace modcast::core

@@ -23,6 +23,7 @@
 #include <memory>
 
 #include "abcast/modular_abcast.hpp"
+#include "adb/flow.hpp"
 #include "consensus/chandra_toueg.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "framework/stack.hpp"
@@ -42,24 +43,6 @@ const char* to_string(StackKind kind);
 struct StackOptions {
   StackKind kind = StackKind::kModular;
 
-  /// Flow control: per-process window W plus a per-consensus batch cap.
-  /// Identical in both stacks (§5.1). With the default (effectively
-  /// uncapped) batch, the messages ordered per consensus M is governed by
-  /// the global backlog n·W — the paper's "each process is allowed a
-  /// certain backlog" flow control. Benches that reproduce the §5.2 tables
-  /// pin max_batch = 4 to match the paper's M = 4 worked example.
-  std::size_t window = 2;
-  std::size_t max_batch = 64;
-
-  /// Batching triggers beyond the count cap (both stacks; see
-  /// adb::BatchPolicy): payload-byte threshold (0 disables) and δ-time
-  /// aggregation window (0 = propose eagerly, the paper's behavior).
-  std::size_t batch_bytes = 0;
-  util::Duration batch_delay = 0;
-  /// Consensus instances that may be undecided at once (k-deep pipelining,
-  /// both stacks). 1 = strictly sequential (the paper's behavior).
-  std::size_t pipeline_depth = 1;
-
   /// CPU cost of one module-boundary crossing in the composition framework
   /// (event allocation, dispatch, header push/pop). Charged per crossing by
   /// the Stack; only observable under the simulated runtime.
@@ -68,25 +51,15 @@ struct StackOptions {
   fd::FdConfig fd;
   rbcast::RbcastConfig rbcast;
   consensus::ConsensusConfig consensus;
-  util::Duration liveness_timeout = util::milliseconds(500);
-  /// Monolithic only: how long a non-coordinator waits before flushing its
-  /// outbox as a standalone forward (see MonolithicConfig). Validation runs
-  /// raise it so burst workloads never flush before the combined proposal
-  /// arrives.
-  util::Duration forward_flush_delay = util::microseconds(200);
-  /// Fixed per-consensus-instance CPU cost at every process (both stacks);
-  /// see abcast::AbcastConfig::instance_overhead.
-  util::Duration instance_overhead = util::microseconds(2500);
-
-  /// Monolithic ablation toggles (§4.1–§4.3); ignored by the modular stack.
-  bool opt_combine = true;
-  bool opt_piggyback = true;
-  bool opt_cheap_decision = true;
-
-  /// Modular-stack extension: indirect consensus ([12], Ekwall & Schiper
-  /// DSN'06) — consensus on message ids, payloads only via diffusion.
-  /// Ignored by the monolithic stack.
-  bool indirect_consensus = false;
+  /// Flow control, batching, pipelining and per-instance cost: identical in
+  /// both stacks (§5.1).
+  adb::FlowConfig flow;
+  /// Modular-stack settings (indirect consensus); ignored by the monolithic
+  /// stack.
+  abcast::AbcastConfig modular;
+  /// Monolithic-stack settings (§4.1–§4.3 toggles, forward flush delay);
+  /// ignored by the modular stack.
+  monolithic::MonolithicConfig monolithic;
 };
 
 /// Uniform view over either stack's statistics.
@@ -136,6 +109,8 @@ class AbcastProcess {
   ProcessStats stats() const;
   std::size_t queued() const;     ///< messages waiting for flow control
   std::size_t in_flight() const;  ///< own admitted, undelivered messages
+  /// The flow core of whichever stack runs (shared counters, pool).
+  const adb::Flow& flow() const;
 
   framework::Stack& stack() { return *stack_; }
   fd::HeartbeatFd& failure_detector() { return *fd_; }

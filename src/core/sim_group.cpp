@@ -112,14 +112,13 @@ void SimGroup::crash_at(util::ProcessId p, util::TimePoint when) {
 void SimGroup::arm_watchdog() {
   // Recurring read-only probe; the simulated system never quiesces anyway
   // (heartbeats re-arm forever), so an immortal repeating event is fine.
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, tick] {
-    checker_->on_watchdog_tick(world_->now());
-    world_->simulator().after(config_.safety.watchdog_period,
-                              [tick] { (*tick)(); });
-  };
   world_->simulator().after(config_.safety.watchdog_period,
-                            [tick] { (*tick)(); });
+                            [this] { watchdog_tick(); });
+}
+
+void SimGroup::watchdog_tick() {
+  checker_->on_watchdog_tick(world_->now());
+  arm_watchdog();
 }
 
 ContractViolation check_total_order(const SimGroup& group) {

@@ -142,6 +142,7 @@ class SimGroup {
 
  private:
   void arm_watchdog();
+  void watchdog_tick();
 
   SimGroupConfig config_;
   std::unique_ptr<runtime::SimWorld> world_;

@@ -42,6 +42,21 @@ std::uint32_t advance_round(RoundState& s, const Group& g,
   return first;
 }
 
+void move_on(RoundState& s, const Group& g, const Suspects& suspects,
+             const RoundFn& send_estimate, const RoundFn& send_nack,
+             const RoundFn& coordinate) {
+  const std::uint32_t first = advance_round(s, g, suspects);
+  for (std::uint32_t r = first; r < s.round; ++r) {
+    send_estimate(r);
+    send_nack(r);
+  }
+  if (g.coordinator(s.round) == g.self) {
+    coordinate(s.round);
+  } else {
+    send_estimate(s.round);
+  }
+}
+
 bool suspect(RoundState& s, const Group& g, util::ProcessId q) {
   if (s.decided || q == g.self || g.coordinator(s.round) != q) return false;
   s.nacked_rounds.insert(s.round);

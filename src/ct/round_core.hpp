@@ -89,11 +89,22 @@ void record_estimate(RoundState& s, const Group& g, std::uint32_t round,
 void refresh_own_estimate(RoundState& s, const Group& g, std::uint32_t round);
 
 /// Moves to the next round whose coordinator is self or not suspected,
-/// marking the skipped rounds nacked; returns the first round moved into.
-/// The caller nacks each round in [returned, s.round) and, unless it
-/// coordinates s.round, sends its estimate there. Ends within n rounds.
+/// marking the skipped rounds nacked; returns the first round moved into
+/// (rounds [returned, s.round) were skipped). Ends within n rounds.
 std::uint32_t advance_round(RoundState& s, const Group& g,
                             const Suspects& suspects);
+
+/// A shell's reaction to one round: a send addressed to the round's
+/// coordinator, or coordinating it.
+using RoundFn = std::function<void(std::uint32_t round)>;
+
+/// Leaves the current round (advance_round) and tells the group: for each
+/// skipped round r, send_estimate(r) then send_nack(r) — its coordinator is
+/// suspected and must learn we moved on; then coordinate(s.round) when self
+/// coordinates the round moved into, send_estimate(s.round) otherwise.
+void move_on(RoundState& s, const Group& g, const Suspects& suspects,
+             const RoundFn& send_estimate, const RoundFn& send_nack,
+             const RoundFn& coordinate);
 
 /// True when suspecting q moves s on: s is undecided and q coordinates its
 /// current round. Marks that round nacked; the caller nacks q and advances.

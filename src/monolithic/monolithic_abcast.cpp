@@ -27,16 +27,11 @@ constexpr std::uint8_t kFlagHasDecision = 0x1;
 constexpr std::uint32_t kRelayTagChannel = 0;
 constexpr std::uint32_t kRelayFullChannel = 1;
 
-std::size_t batch_app_bytes(const std::vector<adb::AppMessage>& batch) {
-  std::size_t bytes = 0;
-  for (const adb::AppMessage& m : batch) bytes += m.payload.size();
-  return bytes;
-}
-
 }  // namespace
 
 void MonolithicAbcast::init(framework::Stack& stack) {
   stack_ = &stack;
+  flow_.set_self(stack.self());
   stack.bind_wire(framework::kModMonolithic,
                   [this](util::ProcessId from, util::Payload msg) {
                     on_wire(from, std::move(msg));
@@ -70,8 +65,7 @@ bool MonolithicAbcast::is_designated_resender(util::ProcessId origin,
 // --------------------------------------------------------------------------
 
 std::uint64_t MonolithicAbcast::abcast(util::Bytes payload) {
-  app_queue_.push_back(std::move(payload));
-  const std::uint64_t seq = next_seq_ + app_queue_.size() - 1;
+  const std::uint64_t seq = flow_.enqueue(std::move(payload));
   admit_queued();
   if (i_am_initial_coordinator()) start_instances();
   recheck_active_estimates();
@@ -79,16 +73,10 @@ std::uint64_t MonolithicAbcast::abcast(util::Bytes payload) {
 }
 
 void MonolithicAbcast::admit_queued() {
-  while (in_flight_ < config_.window && !app_queue_.empty()) {
-    adb::AppMessage m;
-    m.id = adb::MsgId{stack_->self(), next_seq_++};
-    m.payload = std::move(app_queue_.front());
-    app_queue_.pop_front();
-    ++in_flight_;
-    ++stats_.admitted;
-    if (admit_) admit_(m.id.seq);
-    own_pending_[m.id] = m.payload;
-    route_message(std::move(m));
+  while (std::optional<adb::AppMessage> m = flow_.admit_next()) {
+    if (admit_) admit_(m->id.seq);
+    own_pending_[m->id] = m->payload;
+    route_message(std::move(*m));
   }
 }
 
@@ -133,7 +121,7 @@ void MonolithicAbcast::flush_outbox_standalone() {
   // the initial coordinator is suspected and no instance is active, spin up
   // recovery first so the forward goes to a live coordinator.
   auto route = [this] {
-    const Instance* inst = instances_.find(next_decide_);
+    const Instance* inst = instances_.find(flow_.next_decide());
     return group().coordinator(inst != nullptr && !inst->decided ? inst->round
                                                                  : 1);
   };
@@ -157,14 +145,13 @@ void MonolithicAbcast::flush_outbox_standalone() {
     return;
   }
   framework::TraceScope scope(*stack_, framework::kNoInstance,
-                              batch_app_bytes(batch));
+                              adb::payload_bytes(batch));
   stack_->send_wire(target, framework::kModMonolithic, w.take());
   ++stats_.forwards_sent;
 }
 
 void MonolithicAbcast::pool_add(adb::AppMessage m) {
-  if (delivered_.seen(m.id.origin, m.id.seq)) return;
-  pool_.add(std::move(m), stack_->rt().now());
+  flow_.pool_add(std::move(m), stack_->rt().now());
 }
 
 util::Bytes MonolithicAbcast::build_estimate_value() {
@@ -177,9 +164,9 @@ util::Bytes MonolithicAbcast::build_estimate_value() {
     batch.push_back(adb::AppMessage{id, payload});
     added.insert(id);
   }
-  pool_.for_each_live([&](const adb::AppMessage& m) {
+  flow_.pool().for_each_live([&](const adb::AppMessage& m) {
     if (added.count(m.id) != 0) return;
-    if (batch.size() >= config_.max_batch * 2) return;
+    if (batch.size() >= flow_.config().max_batch * 2) return;
     batch.push_back(m);
     added.insert(m.id);
   });
@@ -191,12 +178,8 @@ util::Bytes MonolithicAbcast::build_estimate_value() {
 // --------------------------------------------------------------------------
 
 bool MonolithicAbcast::try_start_instance() {
-  if (!i_am_initial_coordinator()) return false;
-  next_start_ = std::max(next_start_, next_decide_);
-  const std::uint64_t k = next_start_;
-  // Pipelining gate: at most pipeline_depth instances undecided at once
-  // (depth 1 = the paper's strictly sequential instances).
-  if (k - next_decide_ >= config_.pipeline_depth) return false;
+  if (!i_am_initial_coordinator() || flow_.pipeline_full()) return false;
+  const std::uint64_t k = flow_.next_instance();
   if (instances_.decided(k)) return false;
   {
     const Instance* inst = instances_.find(k);
@@ -206,13 +189,13 @@ bool MonolithicAbcast::try_start_instance() {
     }
   }
 
-  if (pool_.eligible() == 0) return false;
+  if (flow_.pool().eligible() == 0) return false;
   const util::TimePoint now = stack_->rt().now();
-  if (!pool_.ready(now)) {
+  if (!flow_.pool().ready(now)) {
     arm_batch_timer(now);
     return false;
   }
-  std::vector<adb::AppMessage> batch = pool_.cut(k);
+  std::vector<adb::AppMessage> batch = flow_.cut();
   if (batch.empty()) return false;
 
   Instance& inst = instance(k);
@@ -246,13 +229,10 @@ bool MonolithicAbcast::try_start_instance() {
   w.u64(k);
   w.raw(value);
   {
-    framework::TraceScope scope(*stack_, k, batch_app_bytes(batch));
+    framework::TraceScope scope(*stack_, k, adb::payload_bytes(batch));
     stack_->send_wire_to_others(framework::kModMonolithic, w.take());
   }
 
-  next_start_ = k + 1;
-  stats_.max_inflight_instances = std::max<std::uint64_t>(
-      stats_.max_inflight_instances, next_start_ - next_decide_);
   arm_retransmit(inst, 1);
   if (ct::maybe_decide_as_coordinator(inst, group(), 1)) {
     // Degenerate tiny group: decide via a zero-delay timer so a decide →
@@ -275,7 +255,7 @@ void MonolithicAbcast::start_instances() {
   // free slot the pool can feed.
   while (try_start_instance()) {
   }
-  if (pool_.eligible() == 0) {
+  if (flow_.pool().eligible() == 0) {
     // Everything eligible was cut (e.g. a size-triggered proposal beat
     // the δ-timer): a still-armed batch timer would only fire to no-op.
     cancel_batch_timer();
@@ -285,7 +265,7 @@ void MonolithicAbcast::start_instances() {
 void MonolithicAbcast::arm_batch_timer(util::TimePoint now) {
   // δ-time trigger: wake when the oldest eligible message has aged out.
   if (batch_timer_ != runtime::kInvalidTimer) return;
-  const util::TimePoint due = pool_.deadline();
+  const util::TimePoint due = flow_.pool().deadline();
   const util::Duration wait = due > now ? due - now : 1;
   batch_timer_ = stack_->rt().set_timer(wait, [this] {
     batch_timer_ = runtime::kInvalidTimer;
@@ -388,18 +368,11 @@ void MonolithicAbcast::send_standalone_tag(std::uint64_t k,
 
 void MonolithicAbcast::move_on(Instance& inst) {
   const ct::Group g = group();
-  const std::uint32_t first = ct::advance_round(
-      inst, g, [this](util::ProcessId q) { return suspects(q); });
-  // Skipped rounds: their coordinators are suspected; tell them we moved on.
-  for (std::uint32_t r = first; r < inst.round; ++r) {
-    send_estimate(inst, r, g.coordinator(r));
-    send_nack(inst.k, r, g.coordinator(r));
-  }
-  if (g.coordinator(inst.round) == g.self) {
-    check_estimates(inst, inst.round);
-  } else {
-    send_estimate(inst, inst.round, g.coordinator(inst.round));
-  }
+  ct::move_on(
+      inst, g, [this](util::ProcessId q) { return suspects(q); },
+      [&](std::uint32_t r) { send_estimate(inst, r, g.coordinator(r)); },
+      [&](std::uint32_t r) { send_nack(inst.k, r, g.coordinator(r)); },
+      [&](std::uint32_t r) { check_estimates(inst, r); });
 }
 
 void MonolithicAbcast::ensure_estimate(Instance& inst) {
@@ -428,7 +401,7 @@ void MonolithicAbcast::send_estimate(Instance& inst, std::uint32_t round,
   w.u32(inst.estimate_ts);
   w.blob(inst.estimate);
   w.raw(adb::encode_batch(piggy));
-  framework::TraceScope scope(*stack_, inst.k, batch_app_bytes(piggy));
+  framework::TraceScope scope(*stack_, inst.k, adb::payload_bytes(piggy));
   stack_->send_wire(coord, framework::kModMonolithic, w.take());
 }
 
@@ -512,14 +485,14 @@ void MonolithicAbcast::send_ack(Instance& inst, std::uint32_t round,
   w.u64(inst.k);
   w.u32(round);
   w.raw(adb::encode_batch(piggy));
-  framework::TraceScope scope(*stack_, inst.k, batch_app_bytes(piggy));
+  framework::TraceScope scope(*stack_, inst.k, adb::payload_bytes(piggy));
   stack_->send_wire(coord, framework::kModMonolithic, w.take());
 }
 
 void MonolithicAbcast::handle_proposal(util::ProcessId from, std::uint64_t k,
                                        std::uint32_t round,
                                        util::Bytes batch) {
-  if (k < next_decide_) return;  // stale instance
+  if (k < flow_.next_decide()) return;  // stale instance
   Instance& inst = instance(k);
   inst.proposals[round] = std::move(batch);
 
@@ -560,7 +533,7 @@ void MonolithicAbcast::handle_proposal(util::ProcessId from, std::uint64_t k,
 
 void MonolithicAbcast::resolve_decision_tag(std::uint64_t k,
                                             std::uint32_t round) {
-  if (k < next_decide_) return;  // already applied (possibly pruned)
+  if (k < flow_.next_decide()) return;  // already applied (possibly pruned)
   if (instances_.decided(k)) return;
   Instance& inst = instance(k);
   auto pit = inst.proposals.find(round);
@@ -574,7 +547,7 @@ void MonolithicAbcast::resolve_decision_tag(std::uint64_t k,
 
 void MonolithicAbcast::decide(std::uint64_t k, std::uint32_t round,
                               util::Bytes batch) {
-  if (k < next_decide_) return;  // already applied (possibly pruned)
+  if (k < flow_.next_decide()) return;  // already applied (possibly pruned)
   if (instances_.decided(k)) return;
   Instance* inst = instances_.decide(k, Decided{round, batch});
   stats_.max_round = std::max(stats_.max_round, round);
@@ -590,50 +563,24 @@ void MonolithicAbcast::decide(std::uint64_t k, std::uint32_t round,
     }
   }
 
-  ready_decisions_[k] = std::move(batch);
+  flow_.buffer_decision(k, std::move(batch));
   apply_ready_decisions();
   instances_.prune(config_.decision_retention, k);
 }
 
 void MonolithicAbcast::apply_ready_decisions() {
-  while (true) {
-    // Drop stale buffered decisions (late duplicates for applied instances).
-    while (!ready_decisions_.empty() &&
-           ready_decisions_.begin()->first < next_decide_) {
-      ready_decisions_.erase(ready_decisions_.begin());
+  const adb::Flow::DeliverFn on_ordered = [this](const adb::AppMessage& m) {
+    if (m.id.origin == stack_->self()) {
+      own_pending_.erase(m.id);
+      // Drop it from the outbox too: it is ordered, no need to forward.
+      std::erase_if(outbox_,
+                    [&](const adb::AppMessage& o) { return o.id == m.id; });
     }
-    auto it = ready_decisions_.find(next_decide_);
-    if (it == ready_decisions_.end()) break;
-    std::vector<adb::AppMessage> batch = adb::decode_batch(it->second);
-    ready_decisions_.erase(it);
-
-    std::sort(batch.begin(), batch.end(),
-              [](const adb::AppMessage& a, const adb::AppMessage& b) {
-                return a.id < b.id;
-              });
-    for (adb::AppMessage& m : batch) {
-      if (!delivered_.mark(m.id.origin, m.id.seq)) continue;
-      pool_.mark_ordered(m.id);
-      if (m.id.origin == stack_->self()) {
-        own_pending_.erase(m.id);
-        if (in_flight_ > 0) --in_flight_;
-        // Drop it from the outbox too: it is ordered, no need to forward.
-        for (auto ob = outbox_.begin(); ob != outbox_.end();) {
-          ob = (ob->id == m.id) ? outbox_.erase(ob) : std::next(ob);
-        }
-      }
-      ++stats_.delivered;
-      ++stats_.messages_in_decisions;
-      if (deliver_) deliver_(m.id.origin, m.id.seq, m.payload);
-    }
-    ++stats_.instances_completed;
-    // Clear the in-flight marks only now that the decision is APPLIED: a
-    // decision buffered out of instance order must keep its messages marked,
-    // or they would be re-proposed and the exact §5.2 accounting breaks.
-    pool_.on_decided(next_decide_);
-    ++next_decide_;
-    next_start_ = std::max(next_start_, next_decide_);
-    stack_->rt().charge_cpu(config_.instance_overhead);
+    if (deliver_) deliver_(m.id.origin, m.id.seq, m.payload);
+  };
+  while (const util::Bytes* value = flow_.next_decision()) {
+    flow_.apply_next(adb::decode_batch(*value), on_ordered);
+    stack_->rt().charge_cpu(flow_.config().instance_overhead);
   }
   admit_queued();
   // Keep making progress when the initial coordinator is gone: without this
@@ -643,7 +590,7 @@ void MonolithicAbcast::apply_ready_decisions() {
 }
 
 void MonolithicAbcast::recheck_active_estimates() {
-  Instance* found = instances_.find(next_decide_);
+  Instance* found = instances_.find(flow_.next_decide());
   if (found == nullptr || found->decided || found->round <= 1) return;
   Instance& inst = *found;
   const util::ProcessId c = group().coordinator(inst.round);
@@ -739,7 +686,7 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       const std::uint32_t round = r.u32();
       util::Bytes piggy(r.rest().begin(), r.rest().end());
       for (auto& m : adb::decode_batch(piggy)) pool_add(std::move(m));
-      if (k >= next_decide_ && !instances_.decided(k)) {
+      if (k >= flow_.next_decide() && !instances_.decided(k)) {
         Instance& inst = instance(k);
         if (ct::count_ack(inst, group(), round, from)) {
           coordinator_decided(inst, round);
@@ -782,7 +729,7 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       util::Bytes est = r.blob();
       util::Bytes piggy(r.rest().begin(), r.rest().end());
       for (auto& m : adb::decode_batch(piggy)) pool_add(std::move(m));
-      if (instances_.decided(k) || k < next_decide_) {
+      if (instances_.decided(k) || k < flow_.next_decide()) {
         reply_decision_if_known(from, k);
         break;
       }
@@ -836,7 +783,7 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       const std::uint32_t round = r.u32();
       // The solicitor lags behind a decided instance: hand it the value.
       if (reply_decision_if_known(from, k)) break;
-      if (k < next_decide_) break;
+      if (k < flow_.next_decide()) break;
       Instance& inst = instance(k);
       if (inst.decided) break;
       ct::enter_round(inst, group(), round);  // join the recovery round
@@ -874,14 +821,15 @@ void MonolithicAbcast::ensure_instance_progress() {
     start_instances();
     return;
   }
-  if (instances_.decided(next_decide_)) return;
+  const std::uint64_t k = flow_.next_decide();
+  if (instances_.decided(k)) return;
   // Join recovery for the next instance even with nothing of our own to
   // order: the new coordinator needs a majority of estimates, and other
   // processes may hold undelivered messages we know nothing about (§3.3's
   // "starts a consensus even if no message arrives").
   const util::ProcessId c1 = group().coordinator(1);
   if (!suspects(c1)) return;
-  Instance& inst = instance(next_decide_);
+  Instance& inst = instance(k);
   if (inst.decided) return;
   if (inst.round == 1 && inst.acked_rounds.empty() &&
       inst.nacked_rounds.empty()) {
@@ -895,9 +843,9 @@ void MonolithicAbcast::ensure_instance_progress() {
 
 void MonolithicAbcast::arm_liveness_timer() {
   // lifecheck:allow(timer.lost): periodic liveness tick re-arms itself for the whole process lifetime, never cancelled by design
-  stack_->rt().set_timer(config_.liveness_timeout, [this] {
+  stack_->rt().set_timer(flow_.config().liveness_timeout, [this] {
     const util::TimePoint now = stack_->rt().now();
-    if (now - last_activity_ >= config_.liveness_timeout) {
+    if (now - last_activity_ >= flow_.config().liveness_timeout) {
       // Silence: re-forward undelivered own messages and join whatever
       // instance should be making progress (even with nothing of our own —
       // another process may be stuck waiting for majority participation).

@@ -24,6 +24,9 @@
 // All three toggles exist so the ablation bench can attribute the paper's
 // measured gap to the individual optimizations.
 //
+// Flow control, batching, pipelining and in-order application of decisions
+// are the adb::Flow core shared with the modular stack (§5.1).
+//
 // Steady-state traffic per instance (all opts on): 1 COMBINED to n−1
 // processes + n−1 ACKs = 2(n−1) messages — the paper's §5.2.1 count.
 #pragma once
@@ -34,7 +37,7 @@
 #include <map>
 #include <vector>
 
-#include "adb/batcher.hpp"
+#include "adb/flow.hpp"
 #include "adb/types.hpp"
 #include "ct/round_core.hpp"
 #include "fd/heartbeat_fd.hpp"
@@ -43,34 +46,19 @@
 
 namespace modcast::monolithic {
 
+/// Monolithic-stack settings; the tuning both stacks share is
+/// adb::FlowConfig.
 struct MonolithicConfig {
-  /// Per-process flow-control window W (same as the modular stack).
-  std::size_t window = 2;
-  /// Maximum messages per proposal (the paper's M).
-  std::size_t max_batch = 4;
-  /// Payload-byte cap/trigger for a proposal batch; 0 disables.
-  std::size_t batch_bytes = 0;
-  /// δ-time aggregation window before a non-full batch is proposed.
-  /// 0 = propose eagerly (the paper's behavior).
-  util::Duration batch_delay = 0;
-  /// Consensus instances that may be undecided at once (k-deep
-  /// pipelining). 1 = strictly sequential instances (the paper's behavior).
-  std::size_t pipeline_depth = 1;
   /// Aggregation delay before an idle process sends a standalone FORWARD to
   /// the coordinator (lets a burst of abcasts share one message).
   util::Duration forward_flush_delay = util::microseconds(200);
   /// Coordinator retransmits an unacked proposal after this long (loss
   /// robustness; never fires in good runs over quasi-reliable channels).
   util::Duration ack_retransmit = util::milliseconds(400);
-  /// §3.3-equivalent silence timer.
-  util::Duration liveness_timeout = util::milliseconds(500);
   /// Retry period for decision pulls.
   util::Duration pull_retry = util::milliseconds(100);
   /// Decided instances retained for answering pulls.
   std::uint64_t decision_retention = 512;
-  /// Fixed CPU cost per completed consensus instance at every process (see
-  /// abcast::AbcastConfig::instance_overhead; identical in both stacks).
-  util::Duration instance_overhead = util::microseconds(2500);
 
   // Ablation toggles (paper sections 4.1, 4.2, 4.3). All on = the paper's
   // monolithic stack; all off ≈ the modular algorithm in one module.
@@ -79,11 +67,8 @@ struct MonolithicConfig {
   bool opt_cheap_decision = true;
 };
 
+/// Monolithic-stack counters; the shared ones are adb::FlowStats.
 struct MonolithicStats {
-  std::uint64_t delivered = 0;
-  std::uint64_t instances_completed = 0;
-  std::uint64_t messages_in_decisions = 0;
-  std::uint64_t admitted = 0;
   std::uint64_t combined_sent = 0;       ///< proposals that carried a decision
   std::uint64_t standalone_tags = 0;     ///< decisions that went out alone
   std::uint64_t forwards_sent = 0;       ///< standalone forwards to the coord
@@ -92,7 +77,6 @@ struct MonolithicStats {
   std::uint32_t max_round = 0;
   std::uint64_t late_decisions = 0;  ///< instances decided in a round >= 2
   std::uint64_t pulls_sent = 0;
-  std::uint64_t max_inflight_instances = 0;  ///< pipelining high-water mark
 };
 
 class MonolithicAbcast final : public framework::Module {
@@ -101,14 +85,10 @@ class MonolithicAbcast final : public framework::Module {
                                        const util::Bytes&)>;
   using AdmitFn = std::function<void(std::uint64_t)>;
 
-  explicit MonolithicAbcast(MonolithicConfig config = {},
+  explicit MonolithicAbcast(adb::FlowConfig flow = {},
+                            MonolithicConfig config = {},
                             const fd::HeartbeatFd* fd = nullptr)
-      : config_(config),
-        fd_(fd),
-        pool_(adb::BatchPolicy{config.max_batch, config.batch_bytes,
-                               config.batch_delay}) {
-    if (config_.pipeline_depth == 0) config_.pipeline_depth = 1;
-  }
+      : config_(config), fd_(fd), flow_(flow) {}
 
   std::string_view name() const override { return "monolithic-abcast"; }
   void init(framework::Stack& stack) override;
@@ -122,10 +102,7 @@ class MonolithicAbcast final : public framework::Module {
   void set_admit_handler(AdmitFn fn) { admit_ = std::move(fn); }
 
   const MonolithicStats& stats() const { return stats_; }
-  std::size_t queued() const { return app_queue_.size(); }
-  std::size_t in_flight() const { return in_flight_; }
-  std::uint64_t next_decide() const { return next_decide_; }
-  std::size_t pool_size() const { return pool_.live(); }
+  const adb::Flow& flow() const { return flow_; }
 
  private:
   struct Instance : ct::RoundState {
@@ -215,30 +192,21 @@ class MonolithicAbcast final : public framework::Module {
   DeliverFn deliver_;
   AdmitFn admit_;
 
-  // Application side.
-  std::uint64_t next_seq_ = 0;
-  std::size_t in_flight_ = 0;
-  std::deque<util::Bytes> app_queue_;
+  // Admission, the ordering pool (coordinator: messages to order; with
+  // opt_piggyback off, every process pools every diffused message, like the
+  // modular stack), the pipelining gate and in-order application.
+  adb::Flow flow_;
   std::map<adb::MsgId, util::Bytes> own_pending_;  ///< admitted, undelivered
   std::deque<adb::AppMessage> outbox_;  ///< not yet sent to coordinator
   runtime::TimerId flush_timer_ = runtime::kInvalidTimer;
-
-  // Ordering pool (coordinator: messages to order; with opt_piggyback off,
-  // every process pools every diffused message, like the modular stack).
-  adb::Batcher pool_;
   runtime::TimerId batch_timer_ = runtime::kInvalidTimer;  ///< δ-time trigger
-  util::SeqTracker seen_;
-  util::SeqTracker delivered_;
 
   // Instance bookkeeping.
   ct::Instances<Instance, Decided> instances_;
-  std::uint64_t next_decide_ = 0;
-  std::uint64_t next_start_ = 0;  ///< coordinator: next instance to propose
   /// §4.1 combine, pipelined: decisions reached but not yet shipped in a
   /// COMBINED proposal. Each new proposal pops the front as its ride-along
   /// tag; leftovers are flushed as standalone tags.
   std::deque<std::uint64_t> untagged_decisions_;
-  std::map<std::uint64_t, util::Bytes> ready_decisions_;
   util::SeqTracker relayed_decisions_;  ///< dedup for fallback relaying
 
   util::TimePoint last_activity_ = 0;

@@ -21,16 +21,16 @@ core::StackOptions CampaignConfig::campaign_stack_defaults() {
   // reaches steady state again well inside one run.
   s.fd.heartbeat_interval = util::milliseconds(25);
   s.fd.timeout = util::milliseconds(150);
-  s.liveness_timeout = util::milliseconds(250);
+  s.flow.liveness_timeout = util::milliseconds(250);
   return s;
 }
 
 core::StackOptions CampaignConfig::campaign_batched_stack_defaults() {
   core::StackOptions s = campaign_stack_defaults();
-  s.window = 8;
-  s.max_batch = 16;
-  s.batch_delay = util::microseconds(500);
-  s.pipeline_depth = 4;
+  s.flow.window = 8;
+  s.flow.max_batch = 16;
+  s.flow.batch_delay = util::microseconds(500);
+  s.flow.pipeline_depth = 4;
   return s;
 }
 

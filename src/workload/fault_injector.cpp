@@ -1,7 +1,6 @@
 #include "workload/fault_injector.hpp"
 
 #include <cassert>
-#include <memory>
 #include <utility>
 
 namespace modcast::workload {
@@ -77,23 +76,18 @@ void FaultInjector::arm_partition(const Partition& cut) {
 }
 
 void FaultInjector::arm_instance_crash(const CrashOnInstance& c) {
-  auto& sim = group_->world().simulator();
-  const auto p = c.p;
-  const auto target = c.instance;
   // Self-rescheduling read-only poll; stops once the victim crashes (for
   // any reason) or reaches the pinned instance count.
-  auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, sim = &sim, p, target, poll] {
-    if (group_->crashed(p)) return;
-    if (group_->process(p).stats().instances_completed >= target) {
-      group_->crash(p);
-      notify("crash p" + std::to_string(p) + " on instance " +
-             std::to_string(target));
+  group_->world().simulator().after(kInstancePoll, [this, c] {
+    if (group_->crashed(c.p)) return;
+    if (group_->process(c.p).stats().instances_completed >= c.instance) {
+      group_->crash(c.p);
+      notify("crash p" + std::to_string(c.p) + " on instance " +
+             std::to_string(c.instance));
       return;
     }
-    sim->after(kInstancePoll, [poll] { (*poll)(); });
-  };
-  sim.after(kInstancePoll, [poll] { (*poll)(); });
+    arm_instance_crash(c);
+  });
 }
 
 void FaultInjector::arm_suspicions(const SuspicionBurst& burst) {

@@ -23,6 +23,14 @@ void require_zero(ValidationResult& r, const std::string& what,
 
 }  // namespace
 
+core::StackOptions ValidationConfig::default_stack() {
+  core::StackOptions s;
+  s.flow.max_batch = 4;
+  s.flow.window = 4;
+  s.monolithic.forward_flush_delay = util::milliseconds(50);
+  return s;
+}
+
 std::string ValidationResult::describe() const {
   std::ostringstream os;
   os << (ok() ? "VALID" : "INVALID") << " (T=" << total_messages
@@ -37,13 +45,7 @@ ValidationResult run_model_validation(const ValidationConfig& cfg) {
   gc.n = cfg.n;
   gc.seed = cfg.seed;
   gc.collect_metrics = true;
-  gc.stack.kind = cfg.kind;
-  gc.stack.window = cfg.window;
-  gc.stack.max_batch = cfg.max_batch;
-  gc.stack.batch_bytes = cfg.batch_bytes;
-  gc.stack.batch_delay = cfg.batch_delay;
-  gc.stack.pipeline_depth = cfg.pipeline_depth;
-  gc.stack.forward_flush_delay = cfg.forward_flush_delay;
+  gc.stack = cfg.stack;
   core::SimGroup group(gc);
   auto& world = group.world();
 
@@ -119,7 +121,7 @@ ValidationResult run_model_validation(const ValidationConfig& cfg) {
   mc.instances = r.instances;
   mc.message_size = cfg.message_size;
   mc.standalone_tags = r.standalone_tags;
-  r.check = cfg.kind == core::StackKind::kModular
+  r.check = cfg.stack.kind == core::StackKind::kModular
                 ? metrics::check_modular(r.metrics, mc)
                 : metrics::check_monolithic(r.metrics, mc);
   return r;

@@ -22,25 +22,22 @@ namespace modcast::workload {
 
 struct ValidationConfig {
   std::size_t n = 3;
-  core::StackKind kind = core::StackKind::kModular;
+  /// The stack under test: the paper's configuration (M = 4, W = 4) unless
+  /// a case changes it. Batched and pipelined cases still expect EXACT
+  /// model agreement — the §5.2 per-instance identities are invariant, only
+  /// how T distributes over I changes.
+  core::StackOptions stack = default_stack();
   std::uint64_t messages_per_process = 8;  ///< K; T = n·K
   std::size_t message_size = 1024;         ///< l
-  std::size_t max_batch = 4;
-  std::size_t window = 4;
-  /// Batching/pipelining knobs (see core::StackOptions). Defaults reproduce
-  /// the paper's configuration; the batched validation cases raise them and
-  /// still expect EXACT model agreement — the §5.2 per-instance identities
-  /// are invariant, only how T distributes over I changes.
-  std::size_t batch_bytes = 0;
-  util::Duration batch_delay = 0;
-  std::size_t pipeline_depth = 1;
   std::uint64_t seed = 1;
-  /// Monolithic: raised well above the one-way latency so a burst never
-  /// flushes standalone forwards before the combined proposal arrives (a
-  /// standalone flush is a legal but non-§5.2 code path).
-  util::Duration forward_flush_delay = util::milliseconds(50);
   /// Hard wall-clock cap on the simulated drain.
   util::Duration deadline = util::seconds(60);
+
+  /// M = 4, W = 4, and the monolithic forward flush raised well above the
+  /// one-way latency so a burst never flushes standalone forwards before
+  /// the combined proposal arrives (a standalone flush is a legal but
+  /// non-§5.2 code path).
+  static core::StackOptions default_stack();
 };
 
 struct ValidationResult {

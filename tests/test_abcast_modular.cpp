@@ -25,7 +25,7 @@ core::SimGroupConfig modular_config(std::size_t n, std::uint64_t seed = 1) {
   cfg.stack.kind = core::StackKind::kModular;
   cfg.stack.fd.heartbeat_interval = milliseconds(20);
   cfg.stack.fd.timeout = milliseconds(100);
-  cfg.stack.liveness_timeout = milliseconds(150);
+  cfg.stack.flow.liveness_timeout = milliseconds(150);
   return cfg;
 }
 
@@ -61,7 +61,7 @@ INSTANTIATE_TEST_SUITE_P(GroupSizes, ModularGroupSizes,
 
 TEST(ModularAbcastFlow, WindowLimitsInFlight) {
   core::SimGroupConfig cfg = modular_config(3);
-  cfg.stack.window = 2;
+  cfg.stack.flow.window = 2;
   core::SimGroup group(cfg);
   group.start();
   // Burst 10 messages at once: only 2 admitted immediately.
@@ -92,7 +92,7 @@ TEST(ModularAbcastFlow, AdmitHandlerFiresExactlyOncePerMessage) {
 
 TEST(ModularAbcastFlow, AbcastReturnsPredictedSeq) {
   core::SimGroupConfig cfg = modular_config(3);
-  cfg.stack.window = 1;
+  cfg.stack.flow.window = 1;
   core::SimGroup group(cfg);
   group.start();
   group.world().simulator().at(milliseconds(1), [&] {
@@ -106,8 +106,8 @@ TEST(ModularAbcastFlow, AbcastReturnsPredictedSeq) {
 
 TEST(ModularAbcastFlow, BatchCapRespected) {
   core::SimGroupConfig cfg = modular_config(3);
-  cfg.stack.window = 8;
-  cfg.stack.max_batch = 4;
+  cfg.stack.flow.window = 8;
+  cfg.stack.flow.max_batch = 4;
   core::SimGroup group(cfg);
   group.start();
   group.world().simulator().at(milliseconds(1), [&] {
@@ -126,8 +126,8 @@ TEST(ModularAbcastMessages, SteadyStateCountMatchesFormula) {
   // (n−1)(M+2+⌊(n+1)/2⌋) must emerge from the real stack.
   const std::size_t n = 3;
   core::SimGroupConfig cfg = modular_config(n);
-  cfg.stack.max_batch = 4;
-  cfg.stack.window = 4;  // backlog 12 ≥ batch: stays saturated
+  cfg.stack.flow.max_batch = 4;
+  cfg.stack.flow.window = 4;  // backlog 12 ≥ batch: stays saturated
   core::SimGroup group(cfg);
   group.start();
   for (util::ProcessId p = 0; p < n; ++p) {
@@ -325,9 +325,9 @@ TEST(ModularAbcastDeterminism, SameSeedSameRun) {
 // the pending count right before the burst is the steady-state baseline.
 TEST(ModularTimerHygiene, CapProposalDisarmsBatchTimer) {
   core::SimGroupConfig cfg = modular_config(3);
-  cfg.stack.batch_delay = milliseconds(50);
-  cfg.stack.max_batch = 4;
-  cfg.stack.window = 8;
+  cfg.stack.flow.batch_delay = milliseconds(50);
+  cfg.stack.flow.max_batch = 4;
+  cfg.stack.flow.window = 8;
   core::SimGroup group(cfg);
   group.start();
   std::size_t base = 0;
@@ -352,9 +352,9 @@ TEST(ModularTimerHygiene, CapProposalDisarmsBatchTimer) {
 // it fires and the batch decides the count returns to baseline.
 TEST(ModularTimerHygiene, DeltaTimerStaysArmedWhileBatchWaits) {
   core::SimGroupConfig cfg = modular_config(3);
-  cfg.stack.batch_delay = milliseconds(50);
-  cfg.stack.max_batch = 4;
-  cfg.stack.window = 8;
+  cfg.stack.flow.batch_delay = milliseconds(50);
+  cfg.stack.flow.max_batch = 4;
+  cfg.stack.flow.window = 8;
   core::SimGroup group(cfg);
   group.start();
   std::size_t base = 0;

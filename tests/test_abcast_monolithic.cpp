@@ -19,7 +19,7 @@ core::SimGroupConfig mono_config(std::size_t n, std::uint64_t seed = 1) {
   cfg.stack.kind = core::StackKind::kMonolithic;
   cfg.stack.fd.heartbeat_interval = milliseconds(20);
   cfg.stack.fd.timeout = milliseconds(100);
-  cfg.stack.liveness_timeout = milliseconds(150);
+  cfg.stack.flow.liveness_timeout = milliseconds(150);
   return cfg;
 }
 
@@ -54,8 +54,8 @@ TEST(MonolithicMessages, SteadyStateCountMatchesFormula) {
   // §5.2.1: 2(n−1) messages per consensus execution at saturation.
   const std::size_t n = 3;
   core::SimGroupConfig cfg = mono_config(n);
-  cfg.stack.max_batch = 4;
-  cfg.stack.window = 4;
+  cfg.stack.flow.max_batch = 4;
+  cfg.stack.flow.window = 4;
   core::SimGroup group(cfg);
   group.start();
   for (util::ProcessId p = 0; p < n; ++p) {
@@ -221,11 +221,11 @@ TEST(MonolithicFaults, DroppedProposalRecoveredByRetransmission) {
 TEST(MonolithicAblation, TogglesChangeMessagePattern) {
   auto msgs_per_instance = [](bool combine, bool piggyback, bool cheap) {
     core::SimGroupConfig cfg = mono_config(3);
-    cfg.stack.opt_combine = combine;
-    cfg.stack.opt_piggyback = piggyback;
-    cfg.stack.opt_cheap_decision = cheap;
-    cfg.stack.max_batch = 4;
-    cfg.stack.window = 4;
+    cfg.stack.monolithic.opt_combine = combine;
+    cfg.stack.monolithic.opt_piggyback = piggyback;
+    cfg.stack.monolithic.opt_cheap_decision = cheap;
+    cfg.stack.flow.max_batch = 4;
+    cfg.stack.flow.window = 4;
     core::SimGroup group(cfg);
     group.start();
     for (util::ProcessId p = 0; p < 3; ++p) {
@@ -291,9 +291,9 @@ TEST(MonolithicDeterminism, SameSeedSameRun) {
 // exactly one arm outstanding each.
 TEST(MonolithicTimerHygiene, CapProposalDisarmsBatchTimer) {
   core::SimGroupConfig cfg = mono_config(3);
-  cfg.stack.batch_delay = milliseconds(50);
-  cfg.stack.max_batch = 4;
-  cfg.stack.window = 8;
+  cfg.stack.flow.batch_delay = milliseconds(50);
+  cfg.stack.flow.max_batch = 4;
+  cfg.stack.flow.window = 8;
   core::SimGroup group(cfg);
   group.start();
   std::size_t base = 0;
@@ -315,9 +315,9 @@ TEST(MonolithicTimerHygiene, CapProposalDisarmsBatchTimer) {
 // armed; after it fires and the instance decides, back to baseline.
 TEST(MonolithicTimerHygiene, DeltaTimerStaysArmedWhileBatchWaits) {
   core::SimGroupConfig cfg = mono_config(3);
-  cfg.stack.batch_delay = milliseconds(50);
-  cfg.stack.max_batch = 4;
-  cfg.stack.window = 8;
+  cfg.stack.flow.batch_delay = milliseconds(50);
+  cfg.stack.flow.max_batch = 4;
+  cfg.stack.flow.window = 8;
   core::SimGroup group(cfg);
   group.start();
   std::size_t base = 0;

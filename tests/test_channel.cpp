@@ -159,7 +159,7 @@ TEST_P(LossyAbcast, ContractHoldsOverLossyNetwork) {
   cfg.stack.kind = GetParam();
   cfg.stack.fd.heartbeat_interval = milliseconds(20);
   cfg.stack.fd.timeout = milliseconds(150);
-  cfg.stack.liveness_timeout = milliseconds(200);
+  cfg.stack.flow.liveness_timeout = milliseconds(200);
   cfg.drop_probability = 0.10;
   cfg.reliable_channels = true;
   core::SimGroup group(cfg);

@@ -23,7 +23,7 @@ SimGroupConfig config_for(StackKind kind, std::size_t n,
   cfg.stack.kind = kind;
   cfg.stack.fd.heartbeat_interval = milliseconds(20);
   cfg.stack.fd.timeout = milliseconds(100);
-  cfg.stack.liveness_timeout = milliseconds(150);
+  cfg.stack.flow.liveness_timeout = milliseconds(150);
   return cfg;
 }
 
@@ -85,8 +85,8 @@ TEST_P(AnalyticalAgreement, MeasuredTrafficMatchesClosedForms) {
 
   StackOptions modular;
   modular.kind = StackKind::kModular;
-  modular.max_batch = 4;
-  modular.window = 4;
+  modular.flow.max_batch = 4;
+  modular.flow.window = 4;
   StackOptions mono = modular;
   mono.kind = StackKind::kMonolithic;
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -21,17 +22,21 @@ fs::path fixture(const std::string& name) {
   return fs::path(COSTCHECK_FIXTURES) / name;
 }
 
-/// Runs the full standalone pipeline on a fixture: lifecheck extracts the
-/// flow graph from the fixture's registry, costcheck consumes it.
-costcheck::Report run_fixture(const std::string& name,
-                              costcheck::CostReport* cost = nullptr) {
-  const fs::path dir = fixture(name);
+/// Runs the full standalone pipeline on a fixture tree: lifecheck extracts
+/// the flow graph from the fixture's registry, costcheck consumes it.
+costcheck::Report run_tree(const fs::path& dir,
+                           costcheck::CostReport* cost = nullptr) {
   costcheck::Manifest manifest = costcheck::load_manifest(dir / "cost.toml");
   lifecheck::Manifest life;
   life.events_registry = manifest.flow_registry;
   lifecheck::FlowGraph flow;
   lifecheck::analyze(dir / "src", life, &flow);
   return costcheck::analyze(dir / "src", manifest, flow, cost);
+}
+
+costcheck::Report run_fixture(const std::string& name,
+                              costcheck::CostReport* cost = nullptr) {
+  return run_tree(fixture(name), cost);
 }
 
 int count_rule(const costcheck::Report& r, const std::string& rule,
@@ -263,6 +268,36 @@ TEST(Costcheck, CostJsonIsStableAndKeySorted) {
   EXPECT_LT(json.find("\"derived\""), json.find("\"match\""));
   EXPECT_LT(json.find("\"match\""), json.find("\"model_call\""));
   EXPECT_EQ(json, costcheck::cost_to_json(cost));
+}
+
+TEST(Costcheck, SiteKeysIgnoreLineShifts) {
+  // Sites are keyed by enclosing function, so a blank line inserted above
+  // a send site leaves the report byte-identical.
+  costcheck::CostReport before;
+  run_fixture("clean", &before);
+  ASSERT_EQ(before.stacks.size(), 1u);
+  EXPECT_EQ(before.stacks[0].phases[0].sites,
+            std::vector<std::string>{"proto.cpp:diffuse kDiffuse x(n - 1)"});
+
+  const fs::path copy = fs::path(testing::TempDir()) / "costcheck_shifted";
+  fs::remove_all(copy);
+  fs::copy(fixture("clean"), copy, fs::copy_options::recursive);
+  const fs::path proto = copy / "src" / "proto.cpp";
+  std::string text;
+  {
+    std::ifstream in(proto);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::size_t send = text.find("    stack_->send_wire_to_others");
+  ASSERT_NE(send, std::string::npos);
+  text.insert(send, "\n");
+  std::ofstream(proto) << text;
+
+  costcheck::CostReport after;
+  costcheck::Report r = run_tree(copy, &after);
+  fs::remove_all(copy);
+  EXPECT_EQ(r.violations(), 0u);
+  EXPECT_EQ(costcheck::cost_to_json(after), costcheck::cost_to_json(before));
 }
 
 TEST(Costcheck, RealTreeMatchesAnalyticalModel) {

@@ -5,6 +5,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 namespace modcast::ct {
 namespace {
@@ -87,6 +88,29 @@ TEST(CtCore, AdvanceSkipsSuspectedCoordinatorsAndStopsAtSelf) {
   EXPECT_EQ(advance_round(u, g, suspecting({})), 2u);
   EXPECT_EQ(u.round, 2u);
   EXPECT_TRUE(u.nacked_rounds.empty());
+}
+
+TEST(CtCore, MoveOnReportsSkippedRoundsThenTheNewRound) {
+  // p1 and p2 (rounds 2 and 3) are suspected. Each skipped round gets our
+  // estimate, then a nack; then we join round 4 — coordinating it if it is
+  // ours, sending our estimate to its coordinator otherwise.
+  for (const util::ProcessId self : {util::ProcessId{3}, util::ProcessId{4}}) {
+    const Group g{5, self};
+    RoundState s = with_estimate("mine");
+    std::vector<std::string> log;
+    auto note = [&log](const char* what) {
+      return [&log, what](std::uint32_t r) {
+        log.push_back(what + std::to_string(r));
+      };
+    };
+    move_on(s, g, suspecting({1, 2}), note("est "), note("nack "),
+            note("coord "));
+    const std::string last = self == 3 ? "coord 4" : "est 4";
+    EXPECT_EQ(log, (std::vector<std::string>{"est 2", "nack 2", "est 3",
+                                             "nack 3", last}))
+        << "self " << self;
+    EXPECT_EQ(s.round, 4u);
+  }
 }
 
 TEST(CtCore, EnteredCoordinatorNacksLowerRounds) {

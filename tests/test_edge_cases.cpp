@@ -105,7 +105,7 @@ TEST(PartitionHeal, MinoritySideCatchesUpAfterHeal) {
   cfg.stack.kind = core::StackKind::kModular;
   cfg.stack.fd.heartbeat_interval = milliseconds(20);
   cfg.stack.fd.timeout = milliseconds(100);
-  cfg.stack.liveness_timeout = milliseconds(150);
+  cfg.stack.flow.liveness_timeout = milliseconds(150);
   cfg.reliable_channels = true;
   core::SimGroup group(cfg);
 
@@ -143,7 +143,7 @@ TEST(PartitionHeal, MonolithicCoordinatorIsolatedThenHealed) {
   cfg.stack.kind = core::StackKind::kMonolithic;
   cfg.stack.fd.heartbeat_interval = milliseconds(20);
   cfg.stack.fd.timeout = milliseconds(100);
-  cfg.stack.liveness_timeout = milliseconds(150);
+  cfg.stack.flow.liveness_timeout = milliseconds(150);
   cfg.reliable_channels = true;
   core::SimGroup group(cfg);
 
@@ -182,7 +182,7 @@ TEST(MonolithicLowLoad, BurstAggregatesIntoOneForward) {
   core::SimGroupConfig cfg;
   cfg.n = 3;
   cfg.stack.kind = core::StackKind::kMonolithic;
-  cfg.stack.window = 8;
+  cfg.stack.flow.window = 8;
   core::SimGroup group(cfg);
   group.start();
   // p1 bursts 4 messages within the flush window: they should travel to
@@ -206,7 +206,7 @@ TEST(MonolithicPull, MissedProposalResolvedByPull) {
   cfg.stack.kind = core::StackKind::kMonolithic;
   cfg.stack.fd.heartbeat_interval = milliseconds(20);
   cfg.stack.fd.timeout = milliseconds(200);
-  cfg.stack.liveness_timeout = milliseconds(250);
+  cfg.stack.flow.liveness_timeout = milliseconds(250);
   core::SimGroup group(cfg);
   int drops = 1;
   // Drop exactly one large (proposal-bearing) message from p0 to p2.
@@ -239,7 +239,7 @@ TEST(IndirectWorkload, HarnessMetricsWork) {
   core::SimGroupConfig cfg;
   cfg.n = 3;
   cfg.stack.kind = core::StackKind::kModular;
-  cfg.stack.indirect_consensus = true;
+  cfg.stack.modular.indirect_consensus = true;
   core::SimGroup group(cfg);
   group.start();
   for (int i = 0; i < 10; ++i) {

@@ -133,7 +133,7 @@ core::SimGroupConfig small_group(bool reliable) {
   gc.reliable_channels = reliable;
   gc.stack.fd.heartbeat_interval = milliseconds(25);
   gc.stack.fd.timeout = milliseconds(150);
-  gc.stack.liveness_timeout = milliseconds(250);
+  gc.stack.flow.liveness_timeout = milliseconds(250);
   return gc;
 }
 

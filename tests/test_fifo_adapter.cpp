@@ -97,7 +97,7 @@ TEST(FifoAdapter, RestoresFifoOnMonolithicStackUnderCrash) {
   cfg.stack.kind = StackKind::kMonolithic;
   cfg.stack.fd.heartbeat_interval = util::milliseconds(20);
   cfg.stack.fd.timeout = util::milliseconds(100);
-  cfg.stack.liveness_timeout = util::milliseconds(150);
+  cfg.stack.flow.liveness_timeout = util::milliseconds(150);
   cfg.record_deliveries = false;
   SimGroup group(cfg);
 

@@ -23,10 +23,10 @@ core::SimGroupConfig indirect_config(std::size_t n, std::uint64_t seed = 1) {
   cfg.n = n;
   cfg.seed = seed;
   cfg.stack.kind = core::StackKind::kModular;
-  cfg.stack.indirect_consensus = true;
+  cfg.stack.modular.indirect_consensus = true;
   cfg.stack.fd.heartbeat_interval = milliseconds(20);
   cfg.stack.fd.timeout = milliseconds(100);
-  cfg.stack.liveness_timeout = milliseconds(150);
+  cfg.stack.flow.liveness_timeout = milliseconds(150);
   return cfg;
 }
 
@@ -77,7 +77,7 @@ TEST(Indirect, ConsensusTrafficCarriesIdsNotPayloads) {
   // while in the standard modular stack proposals carry full payloads.
   auto consensus_bytes = [](bool indirect) {
     core::SimGroupConfig cfg = indirect_config(3);
-    cfg.stack.indirect_consensus = indirect;
+    cfg.stack.modular.indirect_consensus = indirect;
     core::SimGroup group(cfg);
     group.start();
     feed(group, 0, 10, milliseconds(1), milliseconds(5), 8192);
@@ -105,10 +105,10 @@ TEST(Indirect, DataVolumeRoughlyHalvesVersusStandardModular) {
   wl.measure = seconds(2);
   core::StackOptions standard;
   standard.kind = core::StackKind::kModular;
-  standard.max_batch = 4;
-  standard.window = 4;
+  standard.flow.max_batch = 4;
+  standard.flow.window = 4;
   core::StackOptions indirect = standard;
-  indirect.indirect_consensus = true;
+  indirect.modular.indirect_consensus = true;
 
   auto rs = workload::run_once(3, standard, wl, 1);
   auto ri = workload::run_once(3, indirect, wl, 1);

@@ -13,7 +13,7 @@ namespace {
 ValidationConfig config_for(std::size_t n, core::StackKind kind) {
   ValidationConfig cfg;
   cfg.n = n;
-  cfg.kind = kind;
+  cfg.stack.kind = kind;
   cfg.messages_per_process = 8;
   cfg.message_size = 1024;
   return cfg;
@@ -68,9 +68,9 @@ TEST_P(MetricsVsModel, ModularCostsMoreBytesThanMonolithic) {
 TEST_P(MetricsVsModel, ModularBatchedMatchesModelExactly) {
   auto cfg = config_for(GetParam(), core::StackKind::kModular);
   cfg.messages_per_process = 16;
-  cfg.window = 8;
-  cfg.max_batch = 16;
-  cfg.batch_delay = util::milliseconds(2);
+  cfg.stack.flow.window = 8;
+  cfg.stack.flow.max_batch = 16;
+  cfg.stack.flow.batch_delay = util::milliseconds(2);
   const auto r = run_model_validation(cfg);
   EXPECT_TRUE(r.ok()) << r.describe();
   EXPECT_EQ(r.check.measured_messages,
@@ -87,10 +87,10 @@ TEST_P(MetricsVsModel, ModularBatchedMatchesModelExactly) {
 TEST_P(MetricsVsModel, MonolithicBatchedBytesTriggerMatchesModelExactly) {
   auto cfg = config_for(GetParam(), core::StackKind::kMonolithic);
   cfg.messages_per_process = 16;
-  cfg.window = 8;
-  cfg.max_batch = 64;             // count cap out of the way:
-  cfg.batch_bytes = 4 * 1024;     // the byte threshold closes batches
-  cfg.batch_delay = util::milliseconds(2);
+  cfg.stack.flow.window = 8;
+  cfg.stack.flow.max_batch = 64;          // count cap out of the way:
+  cfg.stack.flow.batch_bytes = 4 * 1024;  // the byte threshold closes batches
+  cfg.stack.flow.batch_delay = util::milliseconds(2);
   const auto r = run_model_validation(cfg);
   EXPECT_TRUE(r.ok()) << r.describe();
   EXPECT_EQ(r.check.measured_messages,
@@ -106,8 +106,8 @@ TEST_P(MetricsVsModel, MonolithicBatchedBytesTriggerMatchesModelExactly) {
 TEST_P(MetricsVsModel, ModularPipelinedMatchesModelExactly) {
   auto cfg = config_for(GetParam(), core::StackKind::kModular);
   cfg.messages_per_process = 16;
-  cfg.window = 16;
-  cfg.pipeline_depth = 4;
+  cfg.stack.flow.window = 16;
+  cfg.stack.flow.pipeline_depth = 4;
   const auto r = run_model_validation(cfg);
   EXPECT_TRUE(r.ok()) << r.describe();
   EXPECT_EQ(r.check.measured_messages,
@@ -118,8 +118,8 @@ TEST_P(MetricsVsModel, ModularPipelinedMatchesModelExactly) {
 TEST_P(MetricsVsModel, MonolithicPipelinedDrainsWithPredictedTags) {
   auto cfg = config_for(GetParam(), core::StackKind::kMonolithic);
   cfg.messages_per_process = 16;
-  cfg.window = 16;
-  cfg.pipeline_depth = 4;
+  cfg.stack.flow.window = 16;
+  cfg.stack.flow.pipeline_depth = 4;
   const auto r = run_model_validation(cfg);
   EXPECT_TRUE(r.ok()) << r.describe();
   // A drained saturated run closes with min(depth, I) standalone tags: the
@@ -133,10 +133,10 @@ TEST_P(MetricsVsModel, BatchedPipelinedBothStacksMatchModelExactly) {
        {core::StackKind::kModular, core::StackKind::kMonolithic}) {
     auto cfg = config_for(GetParam(), kind);
     cfg.messages_per_process = 24;
-    cfg.window = 12;
-    cfg.max_batch = 8;
-    cfg.batch_delay = util::milliseconds(1);
-    cfg.pipeline_depth = 2;
+    cfg.stack.flow.window = 12;
+    cfg.stack.flow.max_batch = 8;
+    cfg.stack.flow.batch_delay = util::milliseconds(1);
+    cfg.stack.flow.pipeline_depth = 2;
     const auto r = run_model_validation(cfg);
     EXPECT_TRUE(r.ok()) << core::to_string(kind) << ": " << r.describe();
   }

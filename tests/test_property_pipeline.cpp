@@ -55,17 +55,17 @@ TEST_P(PipelineProperty, OrderedReleaseUnderOutOfOrderDecisions) {
   cfg.n = sc.n;
   cfg.seed = sc.seed;
   cfg.stack.kind = sc.kind;
-  cfg.stack.pipeline_depth = sc.depth;
-  cfg.stack.window = 8;
+  cfg.stack.flow.pipeline_depth = sc.depth;
+  cfg.stack.flow.window = 8;
   if (sc.batched) {
-    cfg.stack.max_batch = 4;
-    cfg.stack.batch_delay = util::microseconds(200);
+    cfg.stack.flow.max_batch = 4;
+    cfg.stack.flow.batch_delay = util::microseconds(200);
   } else {
-    cfg.stack.max_batch = 1;  // one message per instance: most instances
+    cfg.stack.flow.max_batch = 1;  // one message per instance: most instances
   }
   cfg.stack.fd.heartbeat_interval = milliseconds(20);
   cfg.stack.fd.timeout = milliseconds(100);
-  cfg.stack.liveness_timeout = milliseconds(150);
+  cfg.stack.flow.liveness_timeout = milliseconds(150);
   cfg.safety_check = true;
   SimGroup group(cfg);
 
@@ -159,10 +159,7 @@ TEST_P(PipelineProperty, OrderedReleaseUnderOutOfOrderDecisions) {
   std::uint64_t max_inflight = 0;
   for (util::ProcessId p = 0; p < sc.n; ++p) {
     auto& proc = group.process(p);
-    const std::uint64_t seen =
-        sc.kind == StackKind::kModular
-            ? proc.modular()->stats().max_inflight_instances
-            : proc.monolithic()->stats().max_inflight_instances;
+    const std::uint64_t seen = proc.flow().stats().max_inflight_instances;
     max_inflight = std::max(max_inflight, seen);
     EXPECT_LE(seen, sc.depth) << "process " << p << " exceeded the gate";
   }

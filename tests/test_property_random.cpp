@@ -65,10 +65,10 @@ TEST_P(RandomFaultProperty, AbcastContractHolds) {
   cfg.stack.kind = sc.kind;
   cfg.stack.fd.heartbeat_interval = milliseconds(20);
   cfg.stack.fd.timeout = milliseconds(100);
-  cfg.stack.liveness_timeout = milliseconds(150);
-  cfg.stack.opt_combine = sc.opt_combine;
-  cfg.stack.opt_piggyback = sc.opt_piggyback;
-  cfg.stack.opt_cheap_decision = sc.opt_cheap_decision;
+  cfg.stack.flow.liveness_timeout = milliseconds(150);
+  cfg.stack.monolithic.opt_combine = sc.opt_combine;
+  cfg.stack.monolithic.opt_piggyback = sc.opt_piggyback;
+  cfg.stack.monolithic.opt_cheap_decision = sc.opt_cheap_decision;
   // The online SafetyChecker asserts the same contract incrementally while
   // the run executes — it must agree with the post-hoc log checks below.
   cfg.safety_check = true;

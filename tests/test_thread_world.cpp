@@ -110,7 +110,7 @@ TEST_P(ThreadStacks, AtomicBroadcastTotalOrderOnThreads) {
     opts.kind = GetParam();
     opts.fd.heartbeat_interval = milliseconds(20);
     opts.fd.timeout = milliseconds(200);
-    opts.liveness_timeout = milliseconds(100);
+    opts.flow.liveness_timeout = milliseconds(100);
     procs.push_back(std::make_unique<core::AbcastProcess>(world.runtime(p),
                                                           opts));
     procs[p]->set_deliver_handler(

@@ -1007,9 +1007,13 @@ Report analyze(const fs::path& root, const Manifest& manifest,
       pc.name = st.phases[pi].name;
       pc.count = st.phases[pi].count;
       pc.term = p_str(terms[pi]);
+      // Keyed by enclosing function, not line, so the committed report
+      // moves only when a send site does; diagnostics keep line numbers.
       for (const SendSite* site : phase_sites[pi])
         pc.sites.push_back(tree->files[site->file_idx].rel + ":" +
-                           std::to_string(site->line) + " " +
+                           (site->fn.empty() ? std::string("(file scope)")
+                                             : site->fn) +
+                           " " +
                            (site->tag.empty() ? std::string("untagged")
                                               : site->tag) +
                            " x" + site->mult_str);

@@ -123,7 +123,7 @@ struct CostReport {
     std::string name;
     std::string count;  ///< manifest count expression
     std::string term;   ///< count × Σ site multiplicities, canonical
-    std::vector<std::string> sites;  ///< "file:line tag ×mult" per site
+    std::vector<std::string> sites;  ///< "file:function tag ×mult" per site
   };
   struct StackCost {
     std::string name;
