@@ -109,7 +109,14 @@ void Stack::on_message(util::ProcessId from, util::Payload msg) {
   if (crossing_cost_ > 0) rt_->charge_cpu(crossing_cost_);
   // Zero-copy header strip: the handler sees a narrower view of the same
   // buffer.
-  handler(from, msg.slice(1));
+  try {
+    handler(from, msg.slice(1));
+  } catch (const util::DecodeError& e) {
+    ++counters_.malformed_frames;
+    MODCAST_WARN("stack: dropped malformed frame for wire id " +
+                 std::to_string(module_id) + " from " + std::to_string(from) +
+                 ": " + e.what());
+  }
 }
 
 }  // namespace modcast::framework

@@ -48,6 +48,9 @@ struct StackCounters {
   std::uint64_t local_events = 0;     ///< local inter-module dispatches
   std::uint64_t wire_sends = 0;       ///< messages pushed to the network
   std::uint64_t wire_deliveries = 0;  ///< messages demuxed from the network
+  /// Delivered frames whose handler threw util::DecodeError (truncated or
+  /// garbled body). Each is dropped; the process keeps running.
+  std::uint64_t malformed_frames = 0;
 };
 
 /// Per-module wire counters, so experiments can separate protocol traffic
@@ -119,6 +122,10 @@ class Stack final : public runtime::Protocol {
 
   // runtime::Protocol
   void start() override;
+  /// Demuxes one network frame to its module. A frame that is empty, names
+  /// an unbound module id, or fails to decode (the handler throws
+  /// util::DecodeError) is dropped with a warning instead of escaping into
+  /// the runtime; the last kind is counted in counters().malformed_frames.
   void on_message(util::ProcessId from, util::Payload msg) override;
 
  private:

@@ -1,16 +1,14 @@
 #include "workload/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
-// modcheck:allow(det.thread): this IS the campaign sweep runner: each scenario simulates single-threaded with its own seed; threads only partition independent (schedule, stack) tasks, and results land in per-task slots
-#include <thread>
 #include <utility>
 
 #include "core/sim_group.hpp"
 #include "workload/fault_injector.hpp"
+#include "workload/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace modcast::workload {
@@ -232,8 +230,8 @@ std::vector<ScenarioResult> run_campaign(
     const CampaignConfig& config,
     const std::vector<faults::FaultSchedule>& schedules,
     const std::vector<core::StackKind>& kinds, std::size_t jobs) {
-  // Preassigned result slots: workers race only on the task index (same
-  // pattern as run_sweep), so the output is independent of the job count.
+  // Preassigned result slots: workers race only on the task index, so the
+  // output is independent of the job count.
   struct Task {
     std::size_t schedule;
     std::size_t kind;
@@ -244,30 +242,10 @@ std::vector<ScenarioResult> run_campaign(
   }
   std::vector<ScenarioResult> results(tasks.size());
 
-  // modcheck:allow(det.thread): jobs=0 asks for all cores explicitly; the task list, not the pool size, determines the results
-  if (jobs == 0) jobs = std::thread::hardware_concurrency();
-  if (jobs == 0) jobs = 1;
-  jobs = std::min(jobs, tasks.size());
-
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t t = next.fetch_add(1, std::memory_order_relaxed);
-      if (t >= tasks.size()) return;
-      results[t] = run_scenario(config, schedules[tasks[t].schedule],
-                                kinds[tasks[t].kind]);
-    }
-  };
-
-  if (jobs <= 1) {
-    worker();
-  } else {
-    // modcheck:allow(det.thread): worker pool joins before any result is read.
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (std::size_t j = 0; j < jobs; ++j) pool.emplace_back(worker);
-    for (auto& th : pool) th.join();
-  }
+  parallel_for(tasks.size(), jobs, [&](std::size_t t) {
+    results[t] = run_scenario(config, schedules[tasks[t].schedule],
+                              kinds[tasks[t].kind]);
+  });
   return results;
 }
 

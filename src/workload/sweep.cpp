@@ -1,9 +1,6 @@
 #include "workload/sweep.hpp"
 
-#include <algorithm>
-#include <atomic>
-// modcheck:allow(det.thread): this IS the sweep runner: each simulated run is single-threaded and seed-deterministic; threads only partition independent (point, seed) tasks, and results are merged in task order
-#include <thread>
+#include "workload/parallel.hpp"
 
 namespace modcast::workload {
 
@@ -24,32 +21,12 @@ std::vector<AggregateResult> run_sweep(const std::vector<SweepPoint>& points,
     }
   }
 
-  // modcheck:allow(det.thread): jobs=0 asks for all cores explicitly; the task list, not the pool size, determines the results
-  if (jobs == 0) jobs = std::thread::hardware_concurrency();
-  if (jobs == 0) jobs = 1;
-  jobs = std::min(jobs, tasks.size());
-
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t t = next.fetch_add(1, std::memory_order_relaxed);
-      if (t >= tasks.size()) return;
-      const SweepPoint& pt = points[tasks[t].point];
-      runs[tasks[t].point][tasks[t].seed] =
-          run_once(pt.n, pt.stack, pt.workload,
-                   pt.base_seed + tasks[t].seed * 7919, pt.cpu, pt.net);
-    }
-  };
-
-  if (jobs <= 1) {
-    worker();
-  } else {
-    // modcheck:allow(det.thread): worker pool joins before any result is read.
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (std::size_t j = 0; j < jobs; ++j) pool.emplace_back(worker);
-    for (auto& th : pool) th.join();
-  }
+  parallel_for(tasks.size(), jobs, [&](std::size_t t) {
+    const SweepPoint& pt = points[tasks[t].point];
+    runs[tasks[t].point][tasks[t].seed] =
+        run_once(pt.n, pt.stack, pt.workload,
+                 pt.base_seed + tasks[t].seed * 7919, pt.cpu, pt.net);
+  });
 
   std::vector<AggregateResult> out;
   out.reserve(points.size());

@@ -1,13 +1,20 @@
 // Input-robustness tests shared by all four analyzers: a tree containing a
 // CRLF-terminated source file, a UTF-8-BOM-prefixed header, and a module
 // directory with no sources must neither crash any analyzer nor shift its
-// diagnostic line numbers.
+// diagnostic line numbers. The shared manifest reader gets the same
+// treatment: a BOM-prefixed manifest parses, and syntax errors name the
+// 1-based line.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "costcheck.hpp"
 #include "lifecheck.hpp"
+#include "manifest.hpp"
 #include "modcheck.hpp"
 #include "source.hpp"
 #include "wirecheck.hpp"
@@ -111,4 +118,118 @@ TEST(AnalyzerRobustness, CostcheckLinesAreExactUnderCrlfAndBom) {
   EXPECT_TRUE(chatter);
   EXPECT_TRUE(stale);
   EXPECT_EQ(r.violations(), 2u);  // the flip + the stale allow
+}
+
+namespace {
+
+const std::string kBom = "\xEF\xBB\xBF";
+
+std::vector<analyzer::ManifestSection> read(const std::string& text) {
+  std::istringstream in(text);
+  return analyzer::read_manifest(in);
+}
+
+/// The message read_manifest throws for `text`, or "" when it parses.
+std::string read_error(const std::string& text) {
+  try {
+    read(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(ManifestReader, EveryAnalyzerAcceptsBomPrefixedManifest) {
+  {
+    std::istringstream in(kBom + "# c\n[layer a]\npath = a\n");
+    const modcheck::Manifest m = modcheck::parse_manifest(in);
+    ASSERT_EQ(m.layers.size(), 1u);
+    EXPECT_EQ(m.layers[0].name, "a");
+    EXPECT_EQ(m.layers[0].path, "a");
+  }
+  {
+    std::istringstream in(kBom + "[hot]\nfiles = a.cpp\n");
+    EXPECT_TRUE(wirecheck::parse_manifest(in).is_hot("a.cpp"));
+  }
+  {
+    std::istringstream in(kBom + "[events]\nregistry = ev.hpp\n");
+    EXPECT_EQ(lifecheck::parse_manifest(in).events_registry, "ev.hpp");
+  }
+  {
+    std::istringstream in(kBom + "[model]\nfile = m.cpp\n");
+    EXPECT_EQ(costcheck::parse_manifest(in).model_file, "m.cpp");
+  }
+}
+
+TEST(ManifestReader, SplitsHeadersAndEntries) {
+  const auto secs = read(
+      "# leading comment\n"
+      "[plain]\n"
+      "  key = some value  # trailing comment\n"
+      "empty =\n"
+      "[kind   spaced arg ]\n"
+      "a=b=c\n");
+  ASSERT_EQ(secs.size(), 2u);
+  EXPECT_EQ(secs[0].line, 2);
+  EXPECT_EQ(secs[0].kind, "plain");
+  EXPECT_EQ(secs[0].arg, "");
+  EXPECT_EQ(secs[0].header(), "plain");
+  ASSERT_EQ(secs[0].entries.size(), 2u);
+  EXPECT_EQ(secs[0].entries[0].line, 3);
+  EXPECT_EQ(secs[0].entries[0].key, "key");
+  EXPECT_EQ(secs[0].entries[0].value, "some value");
+  EXPECT_EQ(secs[0].entries[1].key, "empty");
+  EXPECT_EQ(secs[0].entries[1].value, "");
+  EXPECT_EQ(secs[1].kind, "kind");
+  EXPECT_EQ(secs[1].arg, "spaced arg");
+  EXPECT_EQ(secs[1].header(), "kind spaced arg");
+  ASSERT_EQ(secs[1].entries.size(), 1u);
+  EXPECT_EQ(secs[1].entries[0].key, "a");
+  EXPECT_EQ(secs[1].entries[0].value, "b=c");
+}
+
+TEST(ManifestReader, CrlfLinesParse) {
+  const auto secs = read("[s x]\r\nk = v\r\n");
+  ASSERT_EQ(secs.size(), 1u);
+  EXPECT_EQ(secs[0].arg, "x");
+  ASSERT_EQ(secs[0].entries.size(), 1u);
+  EXPECT_EQ(secs[0].entries[0].value, "v");
+}
+
+TEST(ManifestReader, StructuralErrorsNameTheLine) {
+  EXPECT_EQ(read_error("# c\nkey = v\n"), "2: key outside any section");
+  EXPECT_EQ(read_error("[s]\n\n[open\n"), "3: unterminated section header");
+  EXPECT_EQ(read_error("[s]\nno equals here\n"), "2: expected key = value");
+  // A BOM does not shift line numbers.
+  EXPECT_EQ(read_error(kBom + "[s]\nbad\n"), "2: expected key = value");
+}
+
+TEST(ManifestReader, ToolErrorsNameTheLineAndLoadNamesTheFile) {
+  std::istringstream in("[layer a]\npath = a\nbogus = 1\n");
+  try {
+    modcheck::parse_manifest(in);
+    FAIL() << "unknown key accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("3: ", 0), 0u) << e.what();
+  }
+  const fs::path bad = fs::temp_directory_path() / "analyzer_bad_manifest.toml";
+  std::ofstream(bad) << "[layer a]\npath = a\nbogus = 1\n";
+  try {
+    modcheck::load_manifest(bad);
+    FAIL() << "unknown key accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(bad.string() + ":3: ", 0), 0u)
+        << e.what();
+  }
+  fs::remove(bad);
+  const fs::path missing = fs::path(ANALYZER_ROBUSTNESS_FIXTURES) / "nope.toml";
+  try {
+    modcheck::load_manifest(missing);
+    FAIL() << "missing manifest accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "cannot open manifest " + missing.string());
+  }
 }

@@ -248,7 +248,7 @@ TEST(Costcheck, StaleManifestIsHardError) {
 
 TEST(Costcheck, JsonNamesToolAndRules) {
   costcheck::Report r = run_fixture("extra_send");
-  const std::string json = costcheck::to_json(r, "src");
+  const std::string json = analyzer::to_json(r, "costcheck", "src");
   EXPECT_NE(json.find("\"version\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"tool\": \"costcheck\""), std::string::npos);
   EXPECT_NE(json.find("cost.model_mismatch"), std::string::npos);
@@ -349,21 +349,24 @@ TEST(Costcheck, SharedTreeMatchesIndependentRuns) {
 
   modcheck::Manifest mod =
       modcheck::load_manifest(repo / "tools" / "modcheck" / "layers.toml");
-  EXPECT_EQ(modcheck::to_json(modcheck::analyze(root, mod, &tree), rs),
-            modcheck::to_json(modcheck::analyze(root, mod), rs));
+  EXPECT_EQ(
+      analyzer::to_json(modcheck::analyze(root, mod, &tree), "modcheck", rs),
+      analyzer::to_json(modcheck::analyze(root, mod), "modcheck", rs));
 
   wirecheck::Manifest wire =
       wirecheck::load_manifest(repo / "tools" / "wirecheck" / "wire.toml");
-  EXPECT_EQ(wirecheck::to_json(wirecheck::analyze(root, wire, &tree), rs),
-            wirecheck::to_json(wirecheck::analyze(root, wire), rs));
+  EXPECT_EQ(
+      analyzer::to_json(wirecheck::analyze(root, wire, &tree), "wirecheck", rs),
+      analyzer::to_json(wirecheck::analyze(root, wire), "wirecheck", rs));
 
   lifecheck::Manifest life =
       lifecheck::load_manifest(repo / "tools" / "lifecheck" / "life.toml");
   lifecheck::FlowGraph flow_cached, flow_fresh;
   EXPECT_EQ(
-      lifecheck::to_json(lifecheck::analyze(root, life, &flow_cached, &tree),
-                         rs),
-      lifecheck::to_json(lifecheck::analyze(root, life, &flow_fresh), rs));
+      analyzer::to_json(lifecheck::analyze(root, life, &flow_cached, &tree),
+                        "lifecheck", rs),
+      analyzer::to_json(lifecheck::analyze(root, life, &flow_fresh),
+                        "lifecheck", rs));
   EXPECT_EQ(lifecheck::flow_to_json(flow_cached),
             lifecheck::flow_to_json(flow_fresh));
 
@@ -371,11 +374,12 @@ TEST(Costcheck, SharedTreeMatchesIndependentRuns) {
       costcheck::load_manifest(repo / "tools" / "costcheck" / "cost.toml");
   costcheck::CostReport model_cached, model_fresh;
   EXPECT_EQ(
-      costcheck::to_json(
+      analyzer::to_json(
           costcheck::analyze(root, cost, flow_cached, &model_cached, &tree),
-          rs),
-      costcheck::to_json(
-          costcheck::analyze(root, cost, flow_fresh, &model_fresh), rs));
+          "costcheck", rs),
+      analyzer::to_json(
+          costcheck::analyze(root, cost, flow_fresh, &model_fresh),
+          "costcheck", rs));
   EXPECT_EQ(costcheck::cost_to_json(model_cached),
             costcheck::cost_to_json(model_fresh));
 }

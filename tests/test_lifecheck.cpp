@@ -186,7 +186,7 @@ TEST(Lifecheck, ManifestRejectsMalformedInput) {
 
 TEST(Lifecheck, JsonNamesToolAndRules) {
   lifecheck::Report r = run_fixture("timer_leak");
-  const std::string json = lifecheck::to_json(r, "src");
+  const std::string json = analyzer::to_json(r, "lifecheck", "src");
   EXPECT_NE(json.find("\"version\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"tool\": \"lifecheck\""), std::string::npos);
   EXPECT_NE(json.find("timer.leak"), std::string::npos);

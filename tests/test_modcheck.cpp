@@ -47,7 +47,7 @@ std::size_t count_rule(const Report& r, const std::string& rule,
 TEST(ModcheckFixtures, CleanTreePasses) {
   Report r = run_fixture("clean");
   EXPECT_EQ(r.files_scanned, 2u);
-  EXPECT_EQ(r.violations(), 0u) << modcheck::to_json(r, "clean");
+  EXPECT_EQ(r.violations(), 0u) << analyzer::to_json(r, "modcheck", "clean");
   EXPECT_TRUE(r.diagnostics.empty());
 }
 
@@ -59,7 +59,8 @@ TEST(ModcheckFixtures, LayerViolationsDetected) {
   EXPECT_EQ(count_rule(r, "layer.private-header"), 1u);
   // stray/orphan.cpp is under no declared layer.
   EXPECT_EQ(count_rule(r, "layer.unmapped"), 1u);
-  EXPECT_EQ(r.violations(), 3u) << modcheck::to_json(r, "layer_violation");
+  EXPECT_EQ(r.violations(), 3u)
+      << analyzer::to_json(r, "modcheck", "layer_violation");
 }
 
 TEST(ModcheckFixtures, DeterminismViolationsDetected) {
@@ -74,7 +75,8 @@ TEST(ModcheckFixtures, DeterminismViolationsDetected) {
 
 TEST(ModcheckFixtures, JustifiedSuppressionsHonored) {
   Report r = run_fixture("suppressed");
-  EXPECT_EQ(r.violations(), 0u) << modcheck::to_json(r, "suppressed");
+  EXPECT_EQ(r.violations(), 0u)
+      << analyzer::to_json(r, "modcheck", "suppressed");
   EXPECT_EQ(count_rule(r, "det.rand", /*suppressed=*/true), 1u);
   EXPECT_EQ(count_rule(r, "det.unordered-iter", /*suppressed=*/true), 1u);
   for (const Diagnostic& d : r.diagnostics)
@@ -89,7 +91,8 @@ TEST(ModcheckFixtures, MissingJustificationRejected) {
   EXPECT_EQ(count_rule(r, "det.rand"), 2u);
   // The well-formed allow with nothing to match is flagged as stale.
   EXPECT_EQ(count_rule(r, "meta.unused-suppression"), 1u);
-  EXPECT_EQ(r.violations(), 5u) << modcheck::to_json(r, "bad_suppression");
+  EXPECT_EQ(r.violations(), 5u)
+      << analyzer::to_json(r, "modcheck", "bad_suppression");
 }
 
 TEST(ModcheckManifest, RejectsUnknownDependency) {
@@ -129,7 +132,7 @@ TEST(ModcheckManifest, ParsesLayersDepsAndScope) {
 
 TEST(ModcheckReport, JsonContainsSummaryAndDiagnostics) {
   Report r = run_fixture("layer_violation");
-  std::string json = modcheck::to_json(r, "fixture");
+  std::string json = analyzer::to_json(r, "modcheck", "fixture");
   EXPECT_NE(json.find("\"version\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"violations\": 3"), std::string::npos);
   EXPECT_NE(json.find("layer.forbidden"), std::string::npos);
@@ -137,15 +140,15 @@ TEST(ModcheckReport, JsonContainsSummaryAndDiagnostics) {
 }
 
 // The repo's own manifest must stay loadable and the real tree clean; this
-// duplicates the modcheck_src CTest entry at the library level so a broken
-// manifest fails unit tests too, with a readable report.
+// duplicates the modcheck part of the abcheck_src CTest entry at the library
+// level so a broken manifest fails unit tests too, with a readable report.
 TEST(ModcheckRepo, RealTreeHasNoUnsuppressedViolations) {
   fs::path repo_src = fs::path(MODCHECK_REPO_ROOT) / "src";
   fs::path manifest =
       fs::path(MODCHECK_REPO_ROOT) / "tools" / "modcheck" / "layers.toml";
   auto m = modcheck::load_manifest(manifest);
   Report r = modcheck::analyze(repo_src, m);
-  EXPECT_EQ(r.violations(), 0u) << modcheck::to_json(r, "src");
+  EXPECT_EQ(r.violations(), 0u) << analyzer::to_json(r, "modcheck", "src");
   EXPECT_GT(r.files_scanned, 50u);
 }
 

@@ -9,7 +9,8 @@
 //
 // Also covers the ByteReader bounds-check hardening: every read width
 // throws TruncatedReadError naming the exact offset, requested width, and
-// remaining bytes.
+// remaining bytes; and the Stack's malformed-frame policy: a truncated
+// frame for any bound module is dropped and counted, never fatal.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -22,12 +23,14 @@
 #include "adb/types.hpp"
 #include "channel/reliable_channel.hpp"
 #include "consensus/chandra_toueg.hpp"
+#include "core/sim_group.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "framework/event.hpp"
 #include "framework/stack.hpp"
 #include "monolithic/monolithic_abcast.hpp"
 #include "rbcast/reliable_bcast.hpp"
 #include "util/bytes.hpp"
+#include "util/log.hpp"
 
 namespace modcast {
 namespace {
@@ -452,6 +455,99 @@ TEST(TruncatedRead, IsADecodeError) {
   ByteReader r(Bytes{});
   EXPECT_THROW(r.u32(), DecodeError);
   EXPECT_THROW(ByteReader(Bytes{}).u64(), TruncatedReadError);
+}
+
+// ---------------------------------------------------------------------------
+// Malformed-frame policy (Stack::on_message)
+// ---------------------------------------------------------------------------
+
+/// Silences the one warning per dropped frame for the scope's lifetime.
+class QuietWarnings {
+ public:
+  QuietWarnings() { util::Log::set_level(util::LogLevel::kError); }
+  ~QuietWarnings() { util::Log::set_level(saved_); }
+
+ private:
+  util::LogLevel saved_ = util::Log::level();
+};
+
+TEST(MalformedFrame, StackDropsAndCountsDecodeFailure) {
+  QuietWarnings quiet;
+  RecordingRuntime rt(0, 3);
+  framework::Stack stack(rt);
+  int decoded = 0;
+  stack.bind_wire(framework::kModAbcast, [&](util::ProcessId, Payload p) {
+    ByteReader r(p);
+    r.u64();
+    ++decoded;
+  });
+  stack.on_message(1, Payload(Bytes{framework::kModAbcast, 0x01, 0x02}));
+  EXPECT_EQ(stack.counters().malformed_frames, 1u);
+  stack.on_message(1, Payload(Bytes(9, framework::kModAbcast)));
+  EXPECT_EQ(decoded, 1);
+  EXPECT_EQ(stack.counters().malformed_frames, 1u);
+  EXPECT_EQ(stack.counters().wire_deliveries, 2u);
+}
+
+/// Runs a live n=3 group of `kind` and, mid-run, hands every process a
+/// truncated frame for each module id its stack binds: the bare module-id
+/// header, then the header plus each tag byte with the body cut off.
+/// Every process must keep running, count the header-only frames as
+/// malformed, and still satisfy total order and agreement.
+void run_truncated_frames(core::StackKind kind,
+                          const std::vector<framework::ModuleId>& bound) {
+  QuietWarnings quiet;
+  core::SimGroupConfig cfg;
+  cfg.n = 3;
+  cfg.stack.kind = kind;
+  core::SimGroup g(cfg);
+  g.start();
+  constexpr int kPerProcess = 20;
+  for (util::ProcessId p = 0; p < g.size(); ++p)
+    for (int i = 0; i < kPerProcess; ++i)
+      g.world().simulator().at(util::milliseconds(1 + p + 10 * i), [&g, p] {
+        g.process(p).abcast(Bytes(64, 0x5a));
+      });
+  std::vector<std::uint64_t> header_only(g.size(), 0);
+  g.world().simulator().at(util::milliseconds(95), [&] {
+    for (util::ProcessId p = 0; p < g.size(); ++p) {
+      framework::Stack& stack = g.process(p).stack();
+      const util::ProcessId from = (p + 1) % g.size();
+      for (framework::ModuleId id : bound) {
+        const std::uint64_t before = stack.counters().malformed_frames;
+        stack.on_message(from, Payload(Bytes{id}));
+        header_only[p] += stack.counters().malformed_frames - before;
+        for (std::uint8_t tag = 1; tag <= 11; ++tag)
+          stack.on_message(from, Payload(Bytes{id, tag}));
+      }
+    }
+  });
+  g.run_until(util::seconds(3));
+
+  for (util::ProcessId p = 0; p < g.size(); ++p) {
+    EXPECT_EQ(header_only[p], bound.size()) << "process " << p;
+    EXPECT_GT(g.process(p).stack().counters().malformed_frames,
+              bound.size())
+        << "process " << p;
+    EXPECT_EQ(g.deliveries(p).size(), kPerProcess * g.size())
+        << "process " << p;
+  }
+  const core::ContractViolation order = core::check_total_order(g);
+  EXPECT_TRUE(order.ok) << order.detail;
+  const core::ContractViolation agreement =
+      core::check_agreement_among_correct(g);
+  EXPECT_TRUE(agreement.ok) << agreement.detail;
+}
+
+TEST(MalformedFrame, ModularGroupSurvivesTruncatedFrames) {
+  run_truncated_frames(core::StackKind::kModular,
+                       {framework::kModAbcast, framework::kModConsensus,
+                        framework::kModRbcast, framework::kModFd});
+}
+
+TEST(MalformedFrame, MonolithicGroupSurvivesTruncatedFrames) {
+  run_truncated_frames(core::StackKind::kMonolithic,
+                       {framework::kModMonolithic, framework::kModFd});
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ bool has_diag_in(const Report& r, const std::string& file,
 TEST(WirecheckFixtures, CleanTreePasses) {
   Report r = run_fixture("clean");
   EXPECT_EQ(r.files_scanned, 5u);
-  EXPECT_EQ(r.violations(), 0u) << wirecheck::to_json(r, "clean");
+  EXPECT_EQ(r.violations(), 0u) << analyzer::to_json(r, "wirecheck", "clean");
   EXPECT_TRUE(r.diagnostics.empty());
 }
 
@@ -56,7 +56,8 @@ TEST(WirecheckFixtures, AsymmetriesDetected) {
   EXPECT_TRUE(has_diag_in(r, "codec.cpp", "wire.asym"));
   // [format] pair: encoder str vs decoder blob.
   EXPECT_TRUE(has_diag_in(r, "record.cpp", "wire.asym"));
-  EXPECT_EQ(count_rule(r, "wire.asym"), 2u) << wirecheck::to_json(r, "asym");
+  EXPECT_EQ(count_rule(r, "wire.asym"), 2u)
+      << analyzer::to_json(r, "wirecheck", "asym");
   EXPECT_EQ(r.violations(), 2u);
 }
 
@@ -77,10 +78,10 @@ TEST(WirecheckFixtures, DeadAndUnhandledDetected) {
   Report r = run_fixture("deadtags");
   // kSentOnly (tag), kEvOrphan (event), kModGhost (module id).
   EXPECT_EQ(count_rule(r, "wire.unhandled"), 3u)
-      << wirecheck::to_json(r, "deadtags");
+      << analyzer::to_json(r, "wirecheck", "deadtags");
   // kHandledOnly (tag), kEvGhost (event). kEvApp is manifest-exempt.
   EXPECT_EQ(count_rule(r, "wire.dead"), 2u)
-      << wirecheck::to_json(r, "deadtags");
+      << analyzer::to_json(r, "wirecheck", "deadtags");
   EXPECT_EQ(r.violations(), 5u);
 }
 
@@ -92,12 +93,13 @@ TEST(WirecheckFixtures, HotRulesFireOnlyInHotFiles) {
   // slow.hpp has identical content but is not manifest-hot.
   for (const Diagnostic& d : r.diagnostics)
     EXPECT_EQ(d.file, "fast.hpp") << d.rule << " fired in " << d.file;
-  EXPECT_EQ(r.violations(), 4u) << wirecheck::to_json(r, "hot");
+  EXPECT_EQ(r.violations(), 4u) << analyzer::to_json(r, "wirecheck", "hot");
 }
 
 TEST(WirecheckFixtures, JustifiedSuppressionsHonored) {
   Report r = run_fixture("suppressed");
-  EXPECT_EQ(r.violations(), 0u) << wirecheck::to_json(r, "suppressed");
+  EXPECT_EQ(r.violations(), 0u)
+      << analyzer::to_json(r, "wirecheck", "suppressed");
   EXPECT_EQ(count_rule(r, "wire.asym", /*suppressed=*/true), 1u);
   EXPECT_EQ(count_rule(r, "hot.function", /*suppressed=*/true), 1u);
   for (const Diagnostic& d : r.diagnostics) {
@@ -115,7 +117,8 @@ TEST(WirecheckFixtures, SuppressionLifecycleEnforced) {
   EXPECT_EQ(count_rule(r, "hot.alloc"), 2u);
   // The well-formed allow with nothing to match is stale.
   EXPECT_EQ(count_rule(r, "meta.unused-suppression"), 1u);
-  EXPECT_EQ(r.violations(), 5u) << wirecheck::to_json(r, "bad_suppression");
+  EXPECT_EQ(r.violations(), 5u)
+      << analyzer::to_json(r, "wirecheck", "bad_suppression");
 }
 
 TEST(WirecheckManifest, ParsesHotEventsAndFormats) {
@@ -157,7 +160,7 @@ TEST(WirecheckManifest, RejectsUnknownSectionAndKey) {
 
 TEST(WirecheckReport, JsonNamesToolAndRules) {
   Report r = run_fixture("asym");
-  std::string json = wirecheck::to_json(r, "fixture");
+  std::string json = analyzer::to_json(r, "wirecheck", "fixture");
   EXPECT_NE(json.find("\"version\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"tool\": \"wirecheck\""), std::string::npos);
   EXPECT_NE(json.find("\"violations\": 2"), std::string::npos);
@@ -165,15 +168,16 @@ TEST(WirecheckReport, JsonNamesToolAndRules) {
 }
 
 // The repo's own wire manifest must stay loadable and the real tree clean;
-// this duplicates the wirecheck_src CTest entry at the library level so a
-// broken manifest fails unit tests too, with a readable report.
+// this duplicates the wirecheck part of the abcheck_src CTest entry at the
+// library level so a broken manifest fails unit tests too, with a readable
+// report.
 TEST(WirecheckRepo, RealTreeHasNoUnsuppressedViolations) {
   fs::path repo_src = fs::path(WIRECHECK_REPO_ROOT) / "src";
   fs::path manifest =
       fs::path(WIRECHECK_REPO_ROOT) / "tools" / "wirecheck" / "wire.toml";
   auto m = wirecheck::load_manifest(manifest);
   Report r = wirecheck::analyze(repo_src, m);
-  EXPECT_EQ(r.violations(), 0u) << wirecheck::to_json(r, "src");
+  EXPECT_EQ(r.violations(), 0u) << analyzer::to_json(r, "wirecheck", "src");
   EXPECT_GT(r.files_scanned, 50u);
   // The intentional hot-path exceptions stay visible as suppressions.
   EXPECT_GE(r.suppressions(), 7u);

@@ -1,4 +1,5 @@
-// abcheck — one driver for all four of the repo's static analyzers.
+// abcheck — the repo's one analyzer executable: a single driver for all four
+// static analyzers.
 //
 //   abcheck --root src --manifest tools/abcheck/abcheck.toml
 //       [--json report.json] [--sarif report.sarif]
@@ -14,20 +15,21 @@
 // shared by every analyzer; `timings_ms` records each analyzer's wall time
 // over that shared tree. The lifecheck flow graph (--flow-json/--flow-dot)
 // and the costcheck derived-polynomial report (--cost-json) are exposed so
-// CI can diff the protocol topology and the cost model. Exits 0 when every
+// ctest and CI can diff the protocol topology and the cost model against
+// results/flowgraph.json and results/costmodel.json. Exits 0 when every
 // analyzer is clean, 1 on any unsuppressed violation, 2 on usage/manifest
 // errors.
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "costcheck.hpp"
 #include "lifecheck.hpp"
+#include "manifest.hpp"
 #include "modcheck.hpp"
 #include "sarif.hpp"
 #include "wirecheck.hpp"
@@ -46,47 +48,24 @@ struct DriverManifest {
 /// Parses abcheck.toml: one [<tool>] section per analyzer, each with a
 /// `manifest` key resolved relative to the abcheck manifest's directory.
 DriverManifest load_driver_manifest(const fs::path& file) {
-  std::ifstream in(file);
-  if (!in)
-    throw std::runtime_error("cannot open manifest " + file.string());
-  DriverManifest m;
-  std::string* target = nullptr;
-  std::string raw;
-  int lineno = 0;
-  auto fail = [&](const std::string& msg) {
-    throw std::runtime_error(file.string() + ":" + std::to_string(lineno) +
-                             ": " + msg);
-  };
-  while (std::getline(in, raw)) {
-    ++lineno;
-    std::string line = raw;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    // Trim.
-    const std::size_t b = line.find_first_not_of(" \t\r\n");
-    if (b == std::string::npos) continue;
-    const std::size_t e = line.find_last_not_of(" \t\r\n");
-    line = line.substr(b, e - b + 1);
-    if (line.front() == '[') {
-      if (line.back() != ']') fail("unterminated section header");
-      const std::string name = line.substr(1, line.size() - 2);
-      if (name == "modcheck") target = &m.modcheck_manifest;
-      else if (name == "wirecheck") target = &m.wirecheck_manifest;
-      else if (name == "lifecheck") target = &m.lifecheck_manifest;
-      else if (name == "costcheck") target = &m.costcheck_manifest;
-      else fail("unknown section [" + name + "]");
-      continue;
+  DriverManifest m = analyzer::load_manifest(file, [&](std::istream& in) {
+    DriverManifest d;
+    for (const analyzer::ManifestSection& sec : analyzer::read_manifest(in)) {
+      const std::string name = sec.header();
+      std::string* target = nullptr;
+      if (name == "modcheck") target = &d.modcheck_manifest;
+      else if (name == "wirecheck") target = &d.wirecheck_manifest;
+      else if (name == "lifecheck") target = &d.lifecheck_manifest;
+      else if (name == "costcheck") target = &d.costcheck_manifest;
+      else analyzer::manifest_error(sec.line, "unknown section [" + name + "]");
+      for (const analyzer::ManifestEntry& e : sec.entries) {
+        if (e.key != "manifest")
+          analyzer::manifest_error(e.line, "unknown key '" + e.key + "'");
+        *target = (file.parent_path() / e.value).lexically_normal().string();
+      }
     }
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) fail("expected key = value");
-    if (!target) fail("key outside any section");
-    std::string key = line.substr(0, eq);
-    key.erase(key.find_last_not_of(" \t") + 1);
-    std::string value = line.substr(eq + 1);
-    value.erase(0, value.find_first_not_of(" \t"));
-    if (key != "manifest") fail("unknown key '" + key + "'");
-    *target = (file.parent_path() / value).lexically_normal().string();
-  }
+    return d;
+  });
   if (m.modcheck_manifest.empty() || m.wirecheck_manifest.empty() ||
       m.lifecheck_manifest.empty() || m.costcheck_manifest.empty())
     throw std::runtime_error(
@@ -113,9 +92,8 @@ void print_report(const std::string& tool, const analyzer::Report& report,
 /// Indents an embedded per-tool JSON document two levels for the combined
 /// report's `runs` array.
 std::string indent_json(const std::string& doc) {
-  std::istringstream in(doc);
-  std::string out, line;
-  while (std::getline(in, line)) {
+  std::string out;
+  for (const std::string& line : analyzer::split_lines(doc)) {
     if (!out.empty()) out += "\n";
     out += "    " + line;
   }
@@ -260,10 +238,13 @@ int main(int argc, char** argv) {
     doc += "    \"lifecheck\": " + ms_str(t_life) + ",\n";
     doc += "    \"costcheck\": " + ms_str(t_cost) + "\n  },\n";
     doc += "  \"runs\": [\n";
-    doc += indent_json(modcheck::to_json(mod_report, root)) + ",\n";
-    doc += indent_json(wirecheck::to_json(wire_report, root)) + ",\n";
-    doc += indent_json(lifecheck::to_json(life_report, root)) + ",\n";
-    doc += indent_json(costcheck::to_json(cost_report, root)) + "\n";
+    auto run = [&](const analyzer::Report& report, const char* tool) {
+      return indent_json(analyzer::to_json(report, tool, root));
+    };
+    doc += run(mod_report, "modcheck") + ",\n";
+    doc += run(wire_report, "wirecheck") + ",\n";
+    doc += run(life_report, "lifecheck") + ",\n";
+    doc += run(cost_report, "costcheck") + "\n";
     doc += "  ]\n}\n";
     if (!write_file(json_path, doc)) return 2;
   }

@@ -1,12 +1,14 @@
 // analyzer_common — the token-level C++ scanning substrate shared by the
-// repo's static analyzers (tools/modcheck, tools/wirecheck).
+// repo's four static analyzers (tools/modcheck, tools/wirecheck,
+// tools/lifecheck, tools/costcheck), all run by tools/abcheck.
 //
-// Both analyzers are deliberately not C++ front-ends: they strip comments
+// The analyzers are deliberately not C++ front-ends: they strip comments
 // and string literals, tokenize, and pattern-match. That is enough for the
 // rule families they enforce, costs no dependencies, and runs in
 // milliseconds as a CTest step. This header holds the lexing layer; see
-// diagnostics.hpp for reporting and suppress.hpp for the shared
-// `<tool>:allow(rule): justification` lifecycle.
+// source.hpp for the shared parse of the tree, manifest.hpp for the
+// manifest reader, diagnostics.hpp for reporting, and suppress.hpp for the
+// shared `<tool>:allow(rule): justification` lifecycle.
 #pragma once
 
 #include <string>

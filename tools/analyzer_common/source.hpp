@@ -6,7 +6,7 @@
 // walk, byte slurp (with UTF-8 BOM stripping), line split, comment/string
 // strip, and tokenization. The driver hands the resulting SourceTree to all
 // analyzers; a null tree keeps every analyze() entry point self-sufficient
-// for standalone CLI runs and fixture tests.
+// for fixture tests.
 #pragma once
 
 #include <filesystem>

@@ -1,11 +1,10 @@
 #include "costcheck.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "lexer.hpp"
+#include "manifest.hpp"
 #include "suppress.hpp"
 
 namespace fs = std::filesystem;
@@ -52,7 +51,7 @@ Phase parse_phase_value(const std::string& value, int lineno) {
   Phase p;
   const std::vector<std::string> parts = split_on(value, '|');
   if (parts.empty() || parts.front().empty())
-    throw std::runtime_error(std::to_string(lineno) + ": phase needs a name");
+    analyzer::manifest_error(lineno, "phase needs a name");
   p.name = parts.front();
   for (std::size_t i = 1; i < parts.size(); ++i) {
     const std::string& part = parts[i];
@@ -69,16 +68,13 @@ Phase parse_phase_value(const std::string& value, int lineno) {
     } else if (key == "count") {
       p.count = rest;
     } else {
-      throw std::runtime_error(std::to_string(lineno) +
-                               ": unknown phase field '" + key + "'");
+      analyzer::manifest_error(lineno, "unknown phase field '" + key + "'");
     }
   }
   if (p.module.empty())
-    throw std::runtime_error(std::to_string(lineno) + ": phase '" + p.name +
-                             "' needs a module");
+    analyzer::manifest_error(lineno, "phase '" + p.name + "' needs a module");
   if (p.count.empty())
-    throw std::runtime_error(std::to_string(lineno) + ": phase '" + p.name +
-                             "' needs a count");
+    analyzer::manifest_error(lineno, "phase '" + p.name + "' needs a count");
   return p;
 }
 
@@ -86,96 +82,56 @@ Phase parse_phase_value(const std::string& value, int lineno) {
 
 Manifest parse_manifest(std::istream& in) {
   Manifest m;
-  enum class Sec { kNone, kModel, kFlow, kStack, kQuorum };
-  Sec sec = Sec::kNone;
-  std::string raw;
-  int lineno = 0;
-  while (std::getline(in, raw)) {
-    ++lineno;
-    std::string line = raw;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line = analyzer::trim(line);
-    if (line.empty()) continue;
-    if (line.front() == '[') {
-      if (line.back() != ']')
-        throw std::runtime_error(std::to_string(lineno) +
-                                 ": unterminated section header");
-      const std::string name = analyzer::trim(line.substr(1, line.size() - 2));
-      const std::size_t sp = name.find(' ');
-      const std::string kind = name.substr(0, sp);
-      const std::string arg =
-          sp == std::string::npos ? "" : analyzer::trim(name.substr(sp + 1));
-      if (kind == "model" && arg.empty()) {
-        sec = Sec::kModel;
-      } else if (kind == "flow" && arg.empty()) {
-        sec = Sec::kFlow;
-      } else if (kind == "stack" && !arg.empty()) {
-        sec = Sec::kStack;
-        m.stacks.push_back(StackSpec{});
-        m.stacks.back().name = arg;
-      } else if (kind == "quorum" && !arg.empty()) {
-        sec = Sec::kQuorum;
-        m.quorums.push_back(QuorumSpec{});
-        m.quorums.back().unit = arg;
-      } else {
-        throw std::runtime_error(std::to_string(lineno) +
-                                 ": unknown section [" + name + "]");
+  auto bad_key = [](const analyzer::ManifestEntry& e) {
+    analyzer::manifest_error(e.line,
+                             "unknown key '" + e.key + "' in this section");
+  };
+  for (const analyzer::ManifestSection& sec : analyzer::read_manifest(in)) {
+    const bool named = !sec.arg.empty();
+    if (sec.kind == "model" && !named) {
+      for (const analyzer::ManifestEntry& e : sec.entries) {
+        if (e.key == "file") m.model_file = e.value;
+        else bad_key(e);
       }
-      continue;
-    }
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos)
-      throw std::runtime_error(std::to_string(lineno) +
-                               ": expected key = value");
-    const std::string key = analyzer::trim(line.substr(0, eq));
-    const std::string value = analyzer::trim(line.substr(eq + 1));
-    auto bad_key = [&]() -> std::runtime_error {
-      return std::runtime_error(std::to_string(lineno) + ": unknown key '" +
-                                key + "' in this section");
-    };
-    switch (sec) {
-      case Sec::kNone:
-        throw std::runtime_error(std::to_string(lineno) +
-                                 ": key outside any section");
-      case Sec::kModel:
-        if (key == "file") m.model_file = value;
-        else throw bad_key();
-        break;
-      case Sec::kFlow:
-        if (key == "registry") m.flow_registry = value;
-        else throw bad_key();
-        break;
-      case Sec::kStack: {
-        StackSpec& st = m.stacks.back();
-        if (key == "modules") st.modules = analyzer::split_ws(value);
-        else if (key == "model") st.model = value;
-        else if (key == "symbols") st.symbols = analyzer::split_ws(value);
-        else if (key == "cold") st.cold = analyzer::split_ws(value);
-        else if (key == "phase")
-          st.phases.push_back(parse_phase_value(value, lineno));
-        else throw bad_key();
-        break;
+    } else if (sec.kind == "flow" && !named) {
+      for (const analyzer::ManifestEntry& e : sec.entries) {
+        if (e.key == "registry") m.flow_registry = e.value;
+        else bad_key(e);
       }
-      case Sec::kQuorum: {
-        QuorumSpec& q = m.quorums.back();
-        if (key == "counters") q.counters = analyzer::split_ws(value);
-        else if (key == "threshold") q.threshold = value;
-        else if (key == "quorum") q.quorum = value;
-        else if (key == "allow") q.allow = analyzer::split_ws(value);
-        else if (key == "odd_n") q.odd_n = (value == "true");
-        else if (key == "count") {
-          const std::size_t sp = value.find(' ');
+    } else if (sec.kind == "stack" && named) {
+      StackSpec& st = m.stacks.emplace_back();
+      st.name = sec.arg;
+      for (const analyzer::ManifestEntry& e : sec.entries) {
+        if (e.key == "modules") st.modules = analyzer::split_ws(e.value);
+        else if (e.key == "model") st.model = e.value;
+        else if (e.key == "symbols") st.symbols = analyzer::split_ws(e.value);
+        else if (e.key == "cold") st.cold = analyzer::split_ws(e.value);
+        else if (e.key == "phase")
+          st.phases.push_back(parse_phase_value(e.value, e.line));
+        else bad_key(e);
+      }
+    } else if (sec.kind == "quorum" && named) {
+      QuorumSpec& q = m.quorums.emplace_back();
+      q.unit = sec.arg;
+      for (const analyzer::ManifestEntry& e : sec.entries) {
+        if (e.key == "counters") q.counters = analyzer::split_ws(e.value);
+        else if (e.key == "threshold") q.threshold = e.value;
+        else if (e.key == "quorum") q.quorum = e.value;
+        else if (e.key == "allow") q.allow = analyzer::split_ws(e.value);
+        else if (e.key == "odd_n") q.odd_n = (e.value == "true");
+        else if (e.key == "count") {
+          const std::size_t sp = e.value.find(' ');
           if (sp == std::string::npos)
-            throw std::runtime_error(std::to_string(lineno) +
-                                     ": count needs '<var> <expr>'");
-          q.count_vars.emplace_back(value.substr(0, sp),
-                                    analyzer::trim(value.substr(sp + 1)));
+            analyzer::manifest_error(e.line, "count needs '<var> <expr>'");
+          q.count_vars.emplace_back(e.value.substr(0, sp),
+                                    analyzer::trim(e.value.substr(sp + 1)));
         } else {
-          throw bad_key();
+          bad_key(e);
         }
-        break;
       }
+    } else {
+      analyzer::manifest_error(sec.line,
+                               "unknown section [" + sec.header() + "]");
     }
   }
   for (const StackSpec& st : m.stacks) {
@@ -191,13 +147,7 @@ Manifest parse_manifest(std::istream& in) {
 }
 
 Manifest load_manifest(const fs::path& file) {
-  std::ifstream in(file);
-  if (!in) throw std::runtime_error("cannot open manifest " + file.string());
-  try {
-    return parse_manifest(in);
-  } catch (const std::exception& e) {
-    throw std::runtime_error(file.string() + ":" + e.what());
-  }
+  return analyzer::load_manifest(file, parse_manifest);
 }
 
 // ---------------------------------------------------------------------------
@@ -1278,10 +1228,6 @@ Report analyze(const fs::path& root, const Manifest& manifest,
   }
   report.sort_stable();
   return report;
-}
-
-std::string to_json(const Report& report, const std::string& root) {
-  return analyzer::to_json(report, "costcheck", root);
 }
 
 std::string cost_to_json(const CostReport& cost) {

@@ -147,10 +147,6 @@ Report analyze(const std::filesystem::path& root, const Manifest& manifest,
                const lifecheck::FlowGraph& flow, CostReport* cost = nullptr,
                const analyzer::SourceTree* tree = nullptr);
 
-/// Machine-readable report (schema: {version, tool, root, summary,
-/// diagnostics}).
-std::string to_json(const Report& report, const std::string& root);
-
 /// Key-sorted, array-stable serialization of the derived cost model, fit
 /// for committing and gating with tools/benchdiff.
 std::string cost_to_json(const CostReport& cost);

@@ -1,11 +1,10 @@
 #include "lifecheck.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "lexer.hpp"
+#include "manifest.hpp"
 #include "suppress.hpp"
 
 namespace fs = std::filesystem;
@@ -44,75 +43,37 @@ bool Manifest::is_app_event(const std::string& name) const {
 
 Manifest parse_manifest(std::istream& in) {
   Manifest m;
-  enum class Sec { kNone, kInstances, kEvents };
-  Sec sec = Sec::kNone;
-  std::string raw;
-  int lineno = 0;
-  while (std::getline(in, raw)) {
-    ++lineno;
-    std::string line = raw;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line = analyzer::trim(line);
-    if (line.empty()) continue;
-    if (line.front() == '[') {
-      if (line.back() != ']')
-        throw std::runtime_error(std::to_string(lineno) +
-                                 ": unterminated section header");
-      const std::string name = analyzer::trim(line.substr(1, line.size() - 2));
-      if (name == "instances") {
-        sec = Sec::kInstances;
-      } else if (name == "events") {
-        sec = Sec::kEvents;
-      } else {
-        throw std::runtime_error(std::to_string(lineno) +
-                                 ": unknown section [" + name + "]");
+  for (const analyzer::ManifestSection& sec : analyzer::read_manifest(in)) {
+    if (sec.kind == "instances" && sec.arg.empty()) {
+      for (const analyzer::ManifestEntry& e : sec.entries) {
+        if (e.key != "files")
+          analyzer::manifest_error(
+              e.line, "unknown [instances] key '" + e.key + "'");
+        for (const std::string& f : analyzer::split_ws(e.value))
+          m.instance_files.push_back(f);
       }
-      continue;
-    }
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos)
-      throw std::runtime_error(std::to_string(lineno) +
-                               ": expected key = value");
-    const std::string key = analyzer::trim(line.substr(0, eq));
-    const std::string value = analyzer::trim(line.substr(eq + 1));
-    switch (sec) {
-      case Sec::kNone:
-        throw std::runtime_error(std::to_string(lineno) +
-                                 ": key outside any section");
-      case Sec::kInstances:
-        if (key == "files") {
-          for (const std::string& f : analyzer::split_ws(value))
-            m.instance_files.push_back(f);
+    } else if (sec.kind == "events" && sec.arg.empty()) {
+      for (const analyzer::ManifestEntry& e : sec.entries) {
+        if (e.key == "registry") {
+          m.events_registry = e.value;
+        } else if (e.key == "app") {
+          for (const std::string& ev : analyzer::split_ws(e.value))
+            m.app_events.push_back(ev);
         } else {
-          throw std::runtime_error(std::to_string(lineno) +
-                                   ": unknown [instances] key '" + key + "'");
+          analyzer::manifest_error(e.line,
+                                   "unknown [events] key '" + e.key + "'");
         }
-        break;
-      case Sec::kEvents:
-        if (key == "registry") {
-          m.events_registry = value;
-        } else if (key == "app") {
-          for (const std::string& e : analyzer::split_ws(value))
-            m.app_events.push_back(e);
-        } else {
-          throw std::runtime_error(std::to_string(lineno) +
-                                   ": unknown [events] key '" + key + "'");
-        }
-        break;
+      }
+    } else {
+      analyzer::manifest_error(sec.line,
+                               "unknown section [" + sec.header() + "]");
     }
   }
   return m;
 }
 
 Manifest load_manifest(const fs::path& file) {
-  std::ifstream in(file);
-  if (!in) throw std::runtime_error("cannot open manifest " + file.string());
-  try {
-    return parse_manifest(in);
-  } catch (const std::exception& e) {
-    throw std::runtime_error(file.string() + ":" + e.what());
-  }
+  return analyzer::load_manifest(file, parse_manifest);
 }
 
 // ---------------------------------------------------------------------------
@@ -766,10 +727,6 @@ Report analyze(const fs::path& root, const Manifest& manifest,
   }
 
   return report;
-}
-
-std::string to_json(const Report& report, const std::string& root) {
-  return analyzer::to_json(report, "lifecheck", root);
 }
 
 // ---------------------------------------------------------------------------

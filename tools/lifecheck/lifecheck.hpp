@@ -117,10 +117,6 @@ Report analyze(const std::filesystem::path& root, const Manifest& manifest,
                FlowGraph* flow = nullptr,
                const analyzer::SourceTree* tree = nullptr);
 
-/// Machine-readable report (schema: {version, tool, root, summary,
-/// diagnostics}).
-std::string to_json(const Report& report, const std::string& root);
-
 /// Flow-graph serializations. The JSON is key-sorted and array-stable so it
 /// can be committed and gated with tools/benchdiff; the DOT mirrors it for
 /// human consumption.

@@ -1,15 +1,14 @@
 #include "modcheck.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "lexer.hpp"
+#include "manifest.hpp"
 #include "suppress.hpp"
 
 namespace modcheck {
@@ -55,67 +54,35 @@ bool Manifest::deterministic(const std::string& layer_name) const {
 
 Manifest parse_manifest(std::istream& in) {
   Manifest m;
-  Layer* current = nullptr;
-  bool in_determinism = false;
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line = trim(line);
-    if (line.empty()) continue;
-    if (line.front() == '[') {
-      if (line.back() != ']')
-        throw std::runtime_error(std::to_string(lineno) +
-                                 ": unterminated section header");
-      std::string section = trim(line.substr(1, line.size() - 2));
-      if (section == "determinism") {
-        in_determinism = true;
-        current = nullptr;
-      } else if (section.rfind("layer ", 0) == 0) {
-        in_determinism = false;
-        Layer l;
-        l.name = trim(section.substr(6));
-        if (l.name.empty())
-          throw std::runtime_error(std::to_string(lineno) +
-                                   ": [layer] needs a name");
-        if (m.find(l.name))
-          throw std::runtime_error(std::to_string(lineno) +
-                                   ": duplicate layer " + l.name);
-        m.layers.push_back(l);
-        current = &m.layers.back();
-      } else {
-        throw std::runtime_error(std::to_string(lineno) +
-                                 ": unknown section [" + section + "]");
+  for (const analyzer::ManifestSection& sec : analyzer::read_manifest(in)) {
+    if (sec.kind == "determinism" && sec.arg.empty()) {
+      for (const analyzer::ManifestEntry& e : sec.entries) {
+        if (e.key != "layers")
+          analyzer::manifest_error(e.line, "unknown determinism key " + e.key);
+        m.determinism_layers = split_ws(e.value);
       }
-      continue;
-    }
-    std::size_t eq = line.find('=');
-    if (eq == std::string::npos)
-      throw std::runtime_error(std::to_string(lineno) +
-                               ": expected key = value");
-    std::string key = trim(line.substr(0, eq));
-    std::string value = trim(line.substr(eq + 1));
-    if (in_determinism) {
-      if (key != "layers")
-        throw std::runtime_error(std::to_string(lineno) +
-                                 ": unknown determinism key " + key);
-      m.determinism_layers = split_ws(value);
-    } else if (current) {
-      if (key == "path") {
-        current->path = value;
-      } else if (key == "deps") {
-        current->deps = split_ws(value);
-      } else if (key == "public") {
-        current->public_headers = split_ws(value);
-      } else {
-        throw std::runtime_error(std::to_string(lineno) + ": unknown key " +
-                                 key + " in [layer " + current->name + "]");
+    } else if (sec.kind == "layer") {
+      if (sec.arg.empty())
+        analyzer::manifest_error(sec.line, "[layer] needs a name");
+      if (m.find(sec.arg))
+        analyzer::manifest_error(sec.line, "duplicate layer " + sec.arg);
+      Layer& l = m.layers.emplace_back();
+      l.name = sec.arg;
+      for (const analyzer::ManifestEntry& e : sec.entries) {
+        if (e.key == "path") {
+          l.path = e.value;
+        } else if (e.key == "deps") {
+          l.deps = split_ws(e.value);
+        } else if (e.key == "public") {
+          l.public_headers = split_ws(e.value);
+        } else {
+          analyzer::manifest_error(e.line, "unknown key " + e.key +
+                                               " in [layer " + l.name + "]");
+        }
       }
     } else {
-      throw std::runtime_error(std::to_string(lineno) +
-                               ": key outside any section");
+      analyzer::manifest_error(sec.line,
+                               "unknown section [" + sec.header() + "]");
     }
   }
 
@@ -151,13 +118,7 @@ Manifest parse_manifest(std::istream& in) {
 }
 
 Manifest load_manifest(const fs::path& file) {
-  std::ifstream in(file);
-  if (!in) throw std::runtime_error("cannot open manifest " + file.string());
-  try {
-    return parse_manifest(in);
-  } catch (const std::exception& e) {
-    throw std::runtime_error(file.string() + ":" + e.what());
-  }
+  return analyzer::load_manifest(file, parse_manifest);
 }
 
 // ---------------------------------------------------------------------------
@@ -441,10 +402,6 @@ Report analyze(const fs::path& root, const Manifest& manifest,
   }
   report.sort_stable();
   return report;
-}
-
-std::string to_json(const Report& report, const std::string& root) {
-  return analyzer::to_json(report, "modcheck", root);
 }
 
 }  // namespace modcheck

@@ -94,8 +94,4 @@ void analyze_file(const std::string& relative_path, const std::string& text,
                   const Manifest& manifest, const std::filesystem::path& root,
                   std::vector<Diagnostic>& out);
 
-/// Machine-readable report (schema: {version, tool, root, summary,
-/// diagnostics}).
-std::string to_json(const Report& report, const std::string& root);
-
 }  // namespace modcheck

@@ -1,14 +1,13 @@
 #include "wirecheck.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "lexer.hpp"
+#include "manifest.hpp"
 #include "suppress.hpp"
 
 namespace wirecheck {
@@ -23,7 +22,6 @@ using analyzer::Suppression;
 using analyzer::Token;
 using analyzer::tok_is;
 using analyzer::tokenize;
-using analyzer::trim;
 
 namespace {
 
@@ -51,83 +49,45 @@ bool Manifest::is_app_event(const std::string& name) const {
 
 Manifest parse_manifest(std::istream& in) {
   Manifest m;
-  enum class Sec { kNone, kHot, kEvents, kFormat };
-  Sec sec = Sec::kNone;
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line = trim(line);
-    if (line.empty()) continue;
-    if (line.front() == '[') {
-      if (line.back() != ']')
-        throw std::runtime_error(std::to_string(lineno) +
-                                 ": unterminated section header");
-      std::string section = trim(line.substr(1, line.size() - 2));
-      if (section == "hot") {
-        sec = Sec::kHot;
-      } else if (section == "events") {
-        sec = Sec::kEvents;
-      } else if (section.rfind("format ", 0) == 0) {
-        Format f;
-        f.name = trim(section.substr(7));
-        if (f.name.empty())
-          throw std::runtime_error(std::to_string(lineno) +
-                                   ": [format] needs a name");
-        for (const Format& g : m.formats)
-          if (g.name == f.name)
-            throw std::runtime_error(std::to_string(lineno) +
-                                     ": duplicate format " + f.name);
-        m.formats.push_back(f);
-        sec = Sec::kFormat;
-      } else {
-        throw std::runtime_error(std::to_string(lineno) +
-                                 ": unknown section [" + section + "]");
+  for (const analyzer::ManifestSection& sec : analyzer::read_manifest(in)) {
+    if (sec.kind == "hot" && sec.arg.empty()) {
+      for (const analyzer::ManifestEntry& e : sec.entries) {
+        if (e.key != "files")
+          analyzer::manifest_error(e.line, "unknown [hot] key " + e.key);
+        m.hot_files = split_ws(e.value);
       }
-      continue;
-    }
-    std::size_t eq = line.find('=');
-    if (eq == std::string::npos)
-      throw std::runtime_error(std::to_string(lineno) +
-                               ": expected key = value");
-    std::string key = trim(line.substr(0, eq));
-    std::string value = trim(line.substr(eq + 1));
-    switch (sec) {
-      case Sec::kHot:
-        if (key != "files")
-          throw std::runtime_error(std::to_string(lineno) +
-                                   ": unknown [hot] key " + key);
-        m.hot_files = split_ws(value);
-        break;
-      case Sec::kEvents:
-        if (key == "registry") {
-          m.events_registry = value;
-        } else if (key == "app") {
-          m.app_events = split_ws(value);
+    } else if (sec.kind == "events" && sec.arg.empty()) {
+      for (const analyzer::ManifestEntry& e : sec.entries) {
+        if (e.key == "registry") {
+          m.events_registry = e.value;
+        } else if (e.key == "app") {
+          m.app_events = split_ws(e.value);
         } else {
-          throw std::runtime_error(std::to_string(lineno) +
-                                   ": unknown [events] key " + key);
+          analyzer::manifest_error(e.line, "unknown [events] key " + e.key);
         }
-        break;
-      case Sec::kFormat: {
-        Format& f = m.formats.back();
-        if (key == "file") {
-          f.file = value;
-        } else if (key == "encoder") {
-          f.encoder = value;
-        } else if (key == "decoder") {
-          f.decoder = value;
-        } else {
-          throw std::runtime_error(std::to_string(lineno) +
-                                   ": unknown [format] key " + key);
-        }
-        break;
       }
-      case Sec::kNone:
-        throw std::runtime_error(std::to_string(lineno) +
-                                 ": key outside any section");
+    } else if (sec.kind == "format") {
+      if (sec.arg.empty())
+        analyzer::manifest_error(sec.line, "[format] needs a name");
+      for (const Format& g : m.formats)
+        if (g.name == sec.arg)
+          analyzer::manifest_error(sec.line, "duplicate format " + sec.arg);
+      Format& f = m.formats.emplace_back();
+      f.name = sec.arg;
+      for (const analyzer::ManifestEntry& e : sec.entries) {
+        if (e.key == "file") {
+          f.file = e.value;
+        } else if (e.key == "encoder") {
+          f.encoder = e.value;
+        } else if (e.key == "decoder") {
+          f.decoder = e.value;
+        } else {
+          analyzer::manifest_error(e.line, "unknown [format] key " + e.key);
+        }
+      }
+    } else {
+      analyzer::manifest_error(sec.line,
+                               "unknown section [" + sec.header() + "]");
     }
   }
   for (const Format& f : m.formats) {
@@ -139,13 +99,7 @@ Manifest parse_manifest(std::istream& in) {
 }
 
 Manifest load_manifest(const fs::path& file) {
-  std::ifstream in(file);
-  if (!in) throw std::runtime_error("cannot open manifest " + file.string());
-  try {
-    return parse_manifest(in);
-  } catch (const std::exception& e) {
-    throw std::runtime_error(file.string() + ":" + e.what());
-  }
+  return analyzer::load_manifest(file, parse_manifest);
 }
 
 // ---------------------------------------------------------------------------
@@ -827,10 +781,6 @@ Report analyze(const fs::path& root, const Manifest& manifest,
   }
   report.sort_stable();
   return report;
-}
-
-std::string to_json(const Report& report, const std::string& root) {
-  return analyzer::to_json(report, "wirecheck", root);
 }
 
 }  // namespace wirecheck

@@ -91,8 +91,4 @@ Manifest load_manifest(const std::filesystem::path& file);
 Report analyze(const std::filesystem::path& root, const Manifest& manifest,
                const analyzer::SourceTree* tree = nullptr);
 
-/// Machine-readable report (schema: {version, tool, root, summary,
-/// diagnostics}).
-std::string to_json(const Report& report, const std::string& root);
-
 }  // namespace wirecheck
