@@ -52,7 +52,9 @@ void BM_WireHeaderRoundTrip(benchmark::State& state) {
   });
   const util::Bytes payload(payload_size, 0xaa);
   for (auto _ : state) {
-    sender.send_wire(1, kModule, payload);
+    util::ByteWriter w = framework::Stack::writer(kModule, payload.size());
+    w.raw(payload);
+    sender.send_wire(1, kModule, w.take());
     world.run();  // drain the in-flight message deterministically
   }
   benchmark::DoNotOptimize(delivered);

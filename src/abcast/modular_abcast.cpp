@@ -43,7 +43,7 @@ void ModularAbcast::start() {
   arm_liveness_timer();
 }
 
-std::uint64_t ModularAbcast::abcast(util::Bytes payload) {
+std::uint64_t ModularAbcast::abcast(util::Payload payload) {
   const std::uint64_t seq = flow_.enqueue(std::move(payload));
   admit_queued();
   return seq;
@@ -60,7 +60,8 @@ void ModularAbcast::admit_queued() {
 }
 
 void ModularAbcast::diffuse(const AppMessage& m) {
-  util::ByteWriter w(m.payload.size() + 24);
+  util::ByteWriter w = framework::Stack::writer(framework::kModAbcast,
+                                                m.payload.size() + 24);
   w.u8(kDiffuse);
   encode_message(w, m);
   // Diffusion belongs to no consensus instance but carries one app payload.
@@ -90,25 +91,24 @@ void ModularAbcast::on_wire(util::ProcessId from, util::Payload msg) {
     }
     case kPayloadPull: {
       // Serve whatever requested payloads we hold.
-      util::Bytes ids_blob(r.rest().begin(), r.rest().end());
       std::vector<AppMessage> have;
-      for (const MsgId& id : decode_id_batch(ids_blob)) {
+      for (const MsgId& id : decode_id_batch(r)) {
         auto it = payload_store_.find(id);
         if (it != payload_store_.end()) {
           have.push_back(AppMessage{id, it->second});
         }
       }
       if (!have.empty()) {
-        util::ByteWriter w;
+        util::ByteWriter w = framework::Stack::writer(
+            framework::kModAbcast, adb::encoded_size(have) + 1);
         w.u8(kPayloadPush);
-        w.raw(encode_batch(have));
+        encode_batch(w, have);
         stack_->send_wire(from, framework::kModAbcast, w.take());
       }
       break;
     }
     case kPayloadPush: {
-      util::Bytes batch_blob(r.rest().begin(), r.rest().end());
-      for (AppMessage& m : decode_batch(batch_blob)) {
+      for (AppMessage& m : decode_batch(r)) {
         store_payload(m);
         // A pushed payload is also a (re)diffusion: pool it if unseen.
         if (seen_.mark(m.id.origin, m.id.seq)) add_pending(std::move(m));
@@ -163,7 +163,7 @@ void ModularAbcast::cancel_batch_timer() {
   batch_timer_ = runtime::kInvalidTimer;
 }
 
-util::Bytes ModularAbcast::encode_value(
+util::Payload ModularAbcast::encode_value(
     const std::vector<AppMessage>& batch) const {
   if (!config_.indirect_consensus) return encode_batch(batch);
   std::vector<MsgId> ids;
@@ -172,13 +172,13 @@ util::Bytes ModularAbcast::encode_value(
   return encode_id_batch(ids);
 }
 
-void ModularAbcast::on_decide(std::uint64_t k, const util::Bytes& value) {
+void ModularAbcast::on_decide(std::uint64_t k, const util::Payload& value) {
   last_activity_ = stack_->rt().now();
   if (flow_.buffer_decision(k, value)) apply_ready_decisions();
 }
 
 void ModularAbcast::apply_ready_decisions() {
-  while (const util::Bytes* value = flow_.next_decision()) {
+  while (const util::Payload* value = flow_.next_decision()) {
     std::vector<AppMessage> batch;
     if (config_.indirect_consensus) {
       // Resolve ids to payloads; block (and pull) if any is missing. The
@@ -234,7 +234,7 @@ void ModularAbcast::retain_delivered(const MsgId& id) {
 }
 
 bool ModularAbcast::validate_value(std::uint64_t k,
-                                   const util::Bytes& value) {
+                                   const util::Payload& value) {
   if (!config_.indirect_consensus) return true;
   std::vector<MsgId> missing;
   for (const MsgId& id : decode_id_batch(value)) {
@@ -249,9 +249,10 @@ bool ModularAbcast::validate_value(std::uint64_t k,
 }
 
 void ModularAbcast::request_payloads(const std::vector<MsgId>& missing) {
-  util::ByteWriter w(5 + missing.size() * 12);
+  util::ByteWriter w = framework::Stack::writer(framework::kModAbcast,
+                                                5 + missing.size() * 12);
   w.u8(kPayloadPull);
-  w.raw(encode_id_batch(missing));
+  encode_id_batch(w, missing);
   stack_->send_wire_to_others(framework::kModAbcast, w.take());
   stats_.payload_pulls += stack_->group_size() - 1;
 }

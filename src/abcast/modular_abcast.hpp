@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <set>
 
@@ -69,13 +68,6 @@ struct AbcastStats {
 
 class ModularAbcast final : public framework::Module {
  public:
-  /// origin, seq, payload — adeliver callback (same order at every process).
-  using DeliverFn = std::function<void(util::ProcessId, std::uint64_t,
-                                       const util::Bytes&)>;
-  /// seq — own message admitted by flow control (the paper's t0 for early
-  /// latency: the instant abcast(m) completes).
-  using AdmitFn = std::function<void(std::uint64_t)>;
-
   explicit ModularAbcast(adb::FlowConfig flow = {}, AbcastConfig config = {})
       : config_(config), flow_(flow) {}
 
@@ -86,10 +78,10 @@ class ModularAbcast final : public framework::Module {
   /// A-broadcasts payload. Never blocks: messages above the flow-control
   /// window queue locally and are admitted later (AdmitFn fires then).
   /// Returns the sequence number assigned to this message.
-  std::uint64_t abcast(util::Bytes payload);
+  std::uint64_t abcast(util::Payload payload);
 
-  void set_deliver_handler(DeliverFn fn) { deliver_ = std::move(fn); }
-  void set_admit_handler(AdmitFn fn) { admit_ = std::move(fn); }
+  void set_deliver_handler(adb::DeliverFn fn) { deliver_ = std::move(fn); }
+  void set_admit_handler(adb::AdmitFn fn) { admit_ = std::move(fn); }
 
   const AbcastStats& stats() const { return stats_; }
   const adb::Flow& flow() const { return flow_; }
@@ -98,11 +90,11 @@ class ModularAbcast final : public framework::Module {
   /// locally actionable (payload held or already delivered); otherwise
   /// starts payload pulls and returns false. Install on the consensus
   /// module via set_proposal_validator (core::AbcastProcess does this).
-  bool validate_value(std::uint64_t k, const util::Bytes& value);
+  bool validate_value(std::uint64_t k, const util::Payload& value);
 
  private:
   void on_wire(util::ProcessId from, util::Payload msg);
-  void on_decide(std::uint64_t k, const util::Bytes& value);
+  void on_decide(std::uint64_t k, const util::Payload& value);
   void on_propose_request(std::uint64_t k);
   void admit_queued();
   void add_pending(AppMessage m);
@@ -114,7 +106,7 @@ class ModularAbcast final : public framework::Module {
   void arm_liveness_timer();
 
   // --- indirect-consensus support ---
-  util::Bytes encode_value(const std::vector<AppMessage>& batch) const;
+  util::Payload encode_value(const std::vector<AppMessage>& batch) const;
   bool payload_available(const MsgId& id) const;
   void store_payload(const AppMessage& m);
   void request_payloads(const std::vector<MsgId>& missing);
@@ -125,8 +117,8 @@ class ModularAbcast final : public framework::Module {
 
   AbcastConfig config_;
   framework::Stack* stack_ = nullptr;
-  DeliverFn deliver_;
-  AdmitFn admit_;
+  adb::DeliverFn deliver_;
+  adb::AdmitFn admit_;
 
   adb::Flow flow_;  ///< admission, pool, pipelining, ordered application
   util::SeqTracker seen_;  ///< every id ever admitted/received (dedup)
@@ -136,7 +128,9 @@ class ModularAbcast final : public framework::Module {
   AbcastStats stats_;
 
   // Indirect-consensus state (unused when indirect_consensus is off).
-  std::map<MsgId, util::Bytes> payload_store_;
+  /// Payloads by id. Each entry is a slice of the frame it arrived in, so
+  /// a retained entry pins that frame (bounded by payload_retention).
+  std::map<MsgId, util::Payload> payload_store_;
   std::deque<MsgId> retained_order_;  ///< delivered payloads, eviction FIFO
   std::set<std::uint64_t> waiting_validation_;  ///< instances deferred
   runtime::TimerId payload_timer_ = runtime::kInvalidTimer;

@@ -105,7 +105,7 @@ Flow::Flow(FlowConfig config) : config_(config), pool_(config) {
   if (config_.pipeline_depth == 0) config_.pipeline_depth = 1;
 }
 
-std::uint64_t Flow::enqueue(util::Bytes payload) {
+std::uint64_t Flow::enqueue(util::Payload payload) {
   app_queue_.push_back(std::move(payload));
   return next_seq_ + app_queue_.size() - 1;
 }
@@ -138,32 +138,36 @@ std::vector<AppMessage> Flow::recovery_batch(std::uint64_t k) {
   return pool_.peek(config_.max_batch);
 }
 
-bool Flow::buffer_decision(std::uint64_t k, util::Bytes value) {
+bool Flow::buffer_decision(std::uint64_t k, util::Payload value) {
   if (k < next_decide_) return false;
   decisions_[k] = std::move(value);
   return true;
 }
 
-const util::Bytes* Flow::next_decision() const {
+const util::Payload* Flow::next_decision() const {
   auto it = decisions_.find(next_decide_);
   return it == decisions_.end() ? nullptr : &it->second;
 }
 
-void Flow::apply_next(std::vector<AppMessage> batch, const DeliverFn& deliver) {
+void Flow::begin_apply(std::vector<AppMessage>& batch) {
   decisions_.erase(next_decide_);
   // Deterministic delivery order within the batch.
   std::sort(batch.begin(), batch.end(),
             [](const AppMessage& a, const AppMessage& b) {
               return a.id < b.id;
             });
-  for (const AppMessage& m : batch) {
-    if (!delivered_.mark(m.id.origin, m.id.seq)) continue;  // dup across k
-    pool_.mark_ordered(m.id);
-    if (m.id.origin == self_ && in_flight_ > 0) --in_flight_;
-    ++stats_.delivered;
-    ++stats_.messages_in_decisions;
-    deliver(m);
-  }
+}
+
+bool Flow::order(const AppMessage& m) {
+  if (!delivered_.mark(m.id.origin, m.id.seq)) return false;  // dup across k
+  pool_.mark_ordered(m.id);
+  if (m.id.origin == self_ && in_flight_ > 0) --in_flight_;
+  ++stats_.delivered;
+  ++stats_.messages_in_decisions;
+  return true;
+}
+
+void Flow::end_apply() {
   ++stats_.instances_completed;
   // Clear the in-flight marks only now that the decision is APPLIED: a
   // decision buffered out of instance order must keep its messages marked,

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -152,9 +151,6 @@ class Batcher {
 
 class Flow {
  public:
-  /// Called once per newly ordered message, in delivery order.
-  using DeliverFn = std::function<void(const AppMessage&)>;
-
   explicit Flow(FlowConfig config);
 
   /// The process own messages are admitted under. Set before admit_next().
@@ -168,7 +164,7 @@ class Flow {
   /// Queues an own payload. Admission is strictly FIFO, so the returned
   /// sequence number is fixed by the queue position even if the message is
   /// not admitted yet.
-  std::uint64_t enqueue(util::Bytes payload);
+  std::uint64_t enqueue(util::Payload payload);
   /// The next queued message, admitted, if the window has room.
   std::optional<AppMessage> admit_next();
   std::size_t queued() const { return app_queue_.size(); }
@@ -206,23 +202,38 @@ class Flow {
 
   /// Buffers instance k's decided value until its predecessors are
   /// applied. False when k is applied already.
-  bool buffer_decision(std::uint64_t k, util::Bytes value);
+  bool buffer_decision(std::uint64_t k, util::Payload value);
   /// The buffered value of next_decide(), or nullptr until it arrives.
-  const util::Bytes* next_decision() const;
+  const util::Payload* next_decision() const;
   std::size_t buffered_decisions() const { return decisions_.size(); }
   /// Applies next_decision(), which the shell decoded into `batch`: drops
   /// the buffered value, orders the batch by id and, for each message not
   /// delivered by an earlier instance, frees its pool entry (and its
-  /// window slot if it is ours) and calls `deliver`. Then next_decide()
-  /// moves on and the instance's unordered messages become eligible again.
-  void apply_next(std::vector<AppMessage> batch, const DeliverFn& deliver);
+  /// window slot if it is ours) and calls `deliver(const AppMessage&)`.
+  /// Then next_decide() moves on and the instance's unordered messages
+  /// become eligible again.
+  template <typename Deliver>
+  void apply_next(std::vector<AppMessage> batch, Deliver&& deliver) {
+    begin_apply(batch);
+    for (const AppMessage& m : batch) {
+      if (order(m)) deliver(m);
+    }
+    end_apply();
+  }
 
  private:
+  /// apply_next's steps: drop the buffered value and sort the batch; mark
+  /// one message ordered (false: an earlier instance delivered it); close
+  /// the instance.
+  void begin_apply(std::vector<AppMessage>& batch);
+  bool order(const AppMessage& m);
+  void end_apply();
+
   FlowConfig config_;
   util::ProcessId self_ = util::kInvalidProcess;
   FlowStats stats_;
 
-  std::deque<util::Bytes> app_queue_;  ///< own payloads awaiting admission
+  std::deque<util::Payload> app_queue_;  ///< own payloads awaiting admission
   std::uint64_t next_seq_ = 0;         ///< seq of the next admitted message
   std::size_t in_flight_ = 0;          ///< own admitted, not yet delivered
 
@@ -231,7 +242,7 @@ class Flow {
 
   std::uint64_t next_instance_ = 0;
   std::uint64_t next_decide_ = 0;
-  std::map<std::uint64_t, util::Bytes> decisions_;  ///< out of order, buffered
+  std::map<std::uint64_t, util::Payload> decisions_;  ///< out of order, buffered
 };
 
 }  // namespace modcast::adb

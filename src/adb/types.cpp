@@ -2,6 +2,9 @@
 
 namespace modcast::adb {
 
+// Each writer/reader codec is the wire format and comes before its value
+// form, which wraps it: wirecheck pairs the first definition of a name.
+
 void encode_message(util::ByteWriter& w, const AppMessage& m) {
   w.u32(m.id.origin);
   w.u64(m.id.seq);
@@ -12,21 +15,16 @@ AppMessage decode_message(util::ByteReader& r) {
   AppMessage m;
   m.id.origin = r.u32();
   m.id.seq = r.u64();
-  m.payload = r.blob();
+  m.payload = r.blob_payload();
   return m;
 }
 
-util::Bytes encode_batch(const std::vector<AppMessage>& batch) {
-  std::size_t total = 4;
-  for (const auto& m : batch) total += encoded_size(m);
-  util::ByteWriter w(total);
+void encode_batch(util::ByteWriter& w, const std::vector<AppMessage>& batch) {
   w.u32(static_cast<std::uint32_t>(batch.size()));
   for (const auto& m : batch) encode_message(w, m);
-  return w.take();
 }
 
-std::vector<AppMessage> decode_batch(const util::Bytes& data) {
-  util::ByteReader r(data);
+std::vector<AppMessage> decode_batch(util::ByteReader& r) {
   const std::uint32_t count = r.u32();
   // Each message needs at least 16 bytes (id + empty payload's length
   // prefix): reject counts a corrupt buffer cannot possibly hold before
@@ -43,8 +41,25 @@ std::vector<AppMessage> decode_batch(const util::Bytes& data) {
   return batch;
 }
 
+util::Bytes encode_batch(const std::vector<AppMessage>& batch) {
+  util::ByteWriter w(encoded_size(batch));
+  encode_batch(w, batch);
+  return w.take();
+}
+
+std::vector<AppMessage> decode_batch(const util::Payload& value) {
+  util::ByteReader r(value);
+  return decode_batch(r);
+}
+
 std::size_t encoded_size(const AppMessage& m) {
   return 4 + 8 + 4 + m.payload.size();
+}
+
+std::size_t encoded_size(const std::vector<AppMessage>& batch) {
+  std::size_t total = 4;
+  for (const AppMessage& m : batch) total += encoded_size(m);
+  return total;
 }
 
 std::size_t payload_bytes(const std::vector<AppMessage>& batch) {
@@ -53,18 +68,15 @@ std::size_t payload_bytes(const std::vector<AppMessage>& batch) {
   return bytes;
 }
 
-util::Bytes encode_id_batch(const std::vector<MsgId>& ids) {
-  util::ByteWriter w(4 + ids.size() * 12);
+void encode_id_batch(util::ByteWriter& w, const std::vector<MsgId>& ids) {
   w.u32(static_cast<std::uint32_t>(ids.size()));
   for (const MsgId& id : ids) {
     w.u32(id.origin);
     w.u64(id.seq);
   }
-  return w.take();
 }
 
-std::vector<MsgId> decode_id_batch(const util::Bytes& data) {
-  util::ByteReader r(data);
+std::vector<MsgId> decode_id_batch(util::ByteReader& r) {
   const std::uint32_t count = r.u32();
   if (count > r.remaining() / 12) {
     throw util::DecodeError("decode_id_batch: implausible count " +
@@ -79,6 +91,17 @@ std::vector<MsgId> decode_id_batch(const util::Bytes& data) {
     ids.push_back(id);
   }
   return ids;
+}
+
+util::Bytes encode_id_batch(const std::vector<MsgId>& ids) {
+  util::ByteWriter w(4 + ids.size() * 12);
+  encode_id_batch(w, ids);
+  return w.take();
+}
+
+std::vector<MsgId> decode_id_batch(const util::Payload& value) {
+  util::ByteReader r(value);
+  return decode_id_batch(r);
 }
 
 }  // namespace modcast::adb

@@ -59,7 +59,7 @@ ChandraTouegConsensus::Instance& ChandraTouegConsensus::instance(
   return inst;
 }
 
-void ChandraTouegConsensus::propose(std::uint64_t k, util::Bytes value) {
+void ChandraTouegConsensus::propose(std::uint64_t k, util::Payload value) {
   if (instances_.decided(k)) return;
   Instance& inst = instance(k);
   if (inst.has_estimate) return;  // initial value already bound
@@ -123,7 +123,8 @@ void ChandraTouegConsensus::arm_nudge(Instance& inst) {
           return;
         }
         // Re-introduce the estimate phase: hand the coordinator a value.
-        util::ByteWriter w(inst->estimate.size() + 32);
+        util::ByteWriter w = framework::Stack::writer(
+            framework::kModConsensus, inst->estimate.size() + 32);
         w.u8(kEstimate);
         w.u64(inst->k);
         w.u32(1);
@@ -137,16 +138,17 @@ void ChandraTouegConsensus::arm_nudge(Instance& inst) {
 }
 
 void ChandraTouegConsensus::do_propose(Instance& inst, std::uint32_t round,
-                                       util::Bytes value) {
+                                       util::Payload value) {
   // In the good-run path this runs inside the abcast module's propose scope,
   // which already annotated instance k and the batch's app-payload bytes;
   // keeping app_bytes inherits that for the proposal fan-out. Recovery-round
   // proposals arrive with no enclosing scope and stay at app_bytes 0.
   framework::TraceScope scope(*stack_, inst.k, framework::TraceScope::kKeepAppBytes);
   ct::propose(inst, round, std::move(value));
-  const util::Bytes& proposal = inst.proposals[round];
+  const util::Payload& proposal = inst.proposals[round];
 
-  util::ByteWriter w(proposal.size() + 16);
+  util::ByteWriter w = framework::Stack::writer(framework::kModConsensus,
+                                                proposal.size() + 32);
   w.u8(kProposal);
   w.u64(inst.k);
   w.u32(round);
@@ -162,7 +164,8 @@ void ChandraTouegConsensus::send_estimate(Instance& inst, std::uint32_t round,
                                           util::ProcessId coord) {
   if (!inst.has_estimate) return;  // nothing to estimate yet
   if (!inst.estimate_sent.insert(round).second) return;
-  util::ByteWriter w(inst.estimate.size() + 32);
+  util::ByteWriter w = framework::Stack::writer(framework::kModConsensus,
+                                                inst.estimate.size() + 32);
   w.u8(kEstimate);
   w.u64(inst.k);
   w.u32(round);
@@ -174,7 +177,7 @@ void ChandraTouegConsensus::send_estimate(Instance& inst, std::uint32_t round,
 
 void ChandraTouegConsensus::send_nack(std::uint64_t k, std::uint32_t round,
                                       util::ProcessId to) {
-  util::ByteWriter w(16);
+  util::ByteWriter w = framework::Stack::writer(framework::kModConsensus, 16);
   w.u8(kNack);
   w.u64(k);
   w.u32(round);
@@ -214,7 +217,8 @@ void ChandraTouegConsensus::check_estimates(Instance& inst,
       // that themselves suspected earlier coordinators have joined so far.
       // Ask the others for their estimates (once per round).
       if (inst.solicited_rounds.insert(round).second) {
-        util::ByteWriter w(16);
+        util::ByteWriter w =
+            framework::Stack::writer(framework::kModConsensus, 16);
         w.u8(kSolicit);
         w.u64(inst.k);
         w.u32(round);
@@ -277,7 +281,7 @@ void ChandraTouegConsensus::broadcast_decision(Instance& inst,
                                         framework::RbcastBody{w.take()}));
 }
 
-void ChandraTouegConsensus::decide_local(std::uint64_t k, util::Bytes value) {
+void ChandraTouegConsensus::decide_local(std::uint64_t k, util::Payload value) {
   if (instances_.decided(k)) return;
   Instance* inst = instances_.decide(k, value);
   ++stats_.decided;
@@ -301,7 +305,7 @@ void ChandraTouegConsensus::decide_local(std::uint64_t k, util::Bytes value) {
 }
 
 void ChandraTouegConsensus::start_pull(Instance& inst) {
-  util::ByteWriter w(16);
+  util::ByteWriter w = framework::Stack::writer(framework::kModConsensus, 16);
   w.u8(kPull);
   w.u64(inst.k);
   {
@@ -331,14 +335,14 @@ void ChandraTouegConsensus::on_wire(util::ProcessId from,
       const std::uint32_t ts = r.u32();
       if (instances_.decided(k)) break;
       Instance& inst = instance(k);
-      ct::record_estimate(inst, group(), round, from, ts, r.blob());
+      ct::record_estimate(inst, group(), round, from, ts, r.blob_payload());
       check_estimates(inst, round);
       break;
     }
     case kProposal: {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
-      on_proposal(from, k, round, r.blob());
+      on_proposal(from, k, round, r.blob_payload());
       break;
     }
     case kAck: {
@@ -373,7 +377,7 @@ void ChandraTouegConsensus::on_wire(util::ProcessId from,
     }
     case kFull: {
       const std::uint64_t k = r.u64();
-      if (!instances_.decided(k)) decide_local(k, r.blob());
+      if (!instances_.decided(k)) decide_local(k, r.blob_payload());
       break;
     }
     default:
@@ -383,7 +387,7 @@ void ChandraTouegConsensus::on_wire(util::ProcessId from,
 
 void ChandraTouegConsensus::on_proposal(util::ProcessId from, std::uint64_t k,
                                         std::uint32_t round,
-                                        util::Bytes value) {
+                                        util::Payload value) {
   Instance& inst = instance(k);
   inst.proposals[round] = std::move(value);
 
@@ -430,7 +434,7 @@ void ChandraTouegConsensus::adopt_and_ack(Instance& inst,
                                           std::uint32_t round) {
   ct::adopt(inst, round);
   inst.pending_ack_round.reset();
-  util::ByteWriter w(16);
+  util::ByteWriter w = framework::Stack::writer(framework::kModConsensus, 16);
   w.u8(kAck);
   w.u64(inst.k);
   w.u32(round);
@@ -457,7 +461,7 @@ void ChandraTouegConsensus::on_revalidate(std::uint64_t k) {
     const std::uint32_t round = inst->pending_propose->first;
     if (ct::may_propose(*inst, group(), round) &&
         value_ok(k, inst->pending_propose->second)) {
-      util::Bytes value = std::move(inst->pending_propose->second);
+      util::Payload value = std::move(inst->pending_propose->second);
       inst->pending_propose.reset();
       do_propose(*inst, round, std::move(value));
     }
@@ -465,9 +469,10 @@ void ChandraTouegConsensus::on_revalidate(std::uint64_t k) {
 }
 
 void ChandraTouegConsensus::send_full(util::ProcessId to, std::uint64_t k) {
-  const util::Bytes* value = instances_.decision(k);
+  const util::Payload* value = instances_.decision(k);
   if (value == nullptr) return;
-  util::ByteWriter w(value->size() + 16);
+  util::ByteWriter w =
+      framework::Stack::writer(framework::kModConsensus, value->size() + 16);
   w.u8(kFull);
   w.u64(k);
   w.blob(*value);
@@ -496,7 +501,7 @@ void ChandraTouegConsensus::on_rdeliver(util::ProcessId origin,
   } else if (kind == kDecisionFull) {
     const std::uint64_t k = r.u64();
     r.u32();  // round (diagnostic only)
-    if (!instances_.decided(k)) decide_local(k, r.blob());
+    if (!instances_.decided(k)) decide_local(k, r.blob_payload());
   } else {
     MODCAST_WARN("consensus: unknown rdeliver kind " + std::to_string(kind));
   }

@@ -78,7 +78,8 @@ class ChandraTouegConsensus final : public framework::Module {
   /// may have changed. With no validator installed, behaviour is the
   /// classic black-box consensus.
   using Validator =
-      std::function<bool(std::uint64_t instance, const util::Bytes& value)>;
+      // wirecheck:allow(hot.function): Installed once by set_proposal_validator, never constructed per message.
+      std::function<bool(std::uint64_t instance, const util::Payload& value)>;
 
   explicit ChandraTouegConsensus(ConsensusConfig config = {},
                                  const fd::HeartbeatFd* fd = nullptr)
@@ -92,11 +93,12 @@ class ChandraTouegConsensus final : public framework::Module {
   /// Proposes `value` for instance k. The first value bound to an instance
   /// at this process becomes its initial estimate; later calls for the same
   /// instance are ignored.
-  void propose(std::uint64_t k, util::Bytes value);
+  void propose(std::uint64_t k, util::Payload value);
 
   bool has_decided(std::uint64_t k) const { return instances_.decided(k); }
-  /// Decision value, or nullptr if undecided/pruned.
-  const util::Bytes* decision(std::uint64_t k) const {
+  /// Decision value, or nullptr if undecided/pruned. It shares the buffer
+  /// of the proposal it was decided from.
+  const util::Payload* decision(std::uint64_t k) const {
     return instances_.decision(k);
   }
 
@@ -112,7 +114,7 @@ class ChandraTouegConsensus final : public framework::Module {
     /// Proposal round awaiting validation before we may ack it.
     std::optional<std::uint32_t> pending_ack_round;
     /// Chosen (round, value) awaiting validation before we may propose it.
-    std::optional<std::pair<std::uint32_t, util::Bytes>> pending_propose;
+    std::optional<std::pair<std::uint32_t, util::Payload>> pending_propose;
     runtime::TimerId nudge_timer = runtime::kInvalidTimer;
     runtime::TimerId pull_timer = runtime::kInvalidTimer;
   };
@@ -122,19 +124,19 @@ class ChandraTouegConsensus final : public framework::Module {
     return fd_ != nullptr && fd_->suspects(q);
   }
   Instance& instance(std::uint64_t k);
-  bool value_ok(std::uint64_t k, const util::Bytes& value) const {
+  bool value_ok(std::uint64_t k, const util::Payload& value) const {
     return !validator_ || validator_(k, value);
   }
   void adopt_and_ack(Instance& inst, std::uint32_t round);
   void on_revalidate(std::uint64_t k);
 
-  void do_propose(Instance& inst, std::uint32_t round, util::Bytes value);
+  void do_propose(Instance& inst, std::uint32_t round, util::Payload value);
   void move_on(Instance& inst);
   void send_estimate(Instance& inst, std::uint32_t round,
                      util::ProcessId coord);
   void send_nack(std::uint64_t k, std::uint32_t round, util::ProcessId to);
   void check_estimates(Instance& inst, std::uint32_t round);
-  void decide_local(std::uint64_t k, util::Bytes value);
+  void decide_local(std::uint64_t k, util::Payload value);
   void broadcast_decision(Instance& inst, std::uint32_t round);
   void send_full(util::ProcessId to, std::uint64_t k);
   void start_pull(Instance& inst);
@@ -145,7 +147,7 @@ class ChandraTouegConsensus final : public framework::Module {
   void on_suspect(util::ProcessId q);
 
   void on_proposal(util::ProcessId from, std::uint64_t k, std::uint32_t round,
-                   util::Bytes value);
+                   util::Payload value);
   void on_solicit(util::ProcessId from, std::uint64_t k, std::uint32_t round);
 
   ConsensusConfig config_;

@@ -34,7 +34,7 @@ AbcastProcess::AbcastProcess(runtime::Runtime& rt, StackOptions options)
       // The extended consensus specification ([12]): consensus defers acks
       // and proposals on values whose payloads this process does not hold.
       consensus_->set_proposal_validator(
-          [ab = modular_.get()](std::uint64_t k, const util::Bytes& value) {
+          [ab = modular_.get()](std::uint64_t k, const util::Payload& value) {
             return ab->validate_value(k, value);
           });
     }
@@ -53,10 +53,25 @@ std::uint64_t AbcastProcess::abcast(util::Bytes payload) {
 }
 
 void AbcastProcess::set_deliver_handler(DeliverFn fn) {
+  // The public boundary: the stacks deliver slices of received frames; the
+  // application gets owned bytes, copied once per adeliver into a buffer
+  // reused across deliveries. A delivery nested inside the handler finds
+  // the buffer taken and uses a fresh one.
+  adb::DeliverFn to_app;
+  if (fn) {
+    to_app = [this, fn = std::move(fn)](util::ProcessId origin,
+                                        std::uint64_t seq,
+                                        const util::Payload& payload) {
+      util::Bytes buf = std::move(delivery_buf_);
+      buf.assign(payload.span().begin(), payload.span().end());
+      fn(origin, seq, buf);
+      delivery_buf_ = std::move(buf);
+    };
+  }
   if (modular_) {
-    modular_->set_deliver_handler(std::move(fn));
+    modular_->set_deliver_handler(std::move(to_app));
   } else {
-    monolithic_->set_deliver_handler(std::move(fn));
+    monolithic_->set_deliver_handler(std::move(to_app));
   }
 }
 

@@ -131,6 +131,7 @@ class AbcastProcess {
   std::unique_ptr<consensus::ChandraTouegConsensus> consensus_;
   std::unique_ptr<abcast::ModularAbcast> modular_;
   std::unique_ptr<monolithic::MonolithicAbcast> monolithic_;
+  util::Bytes delivery_buf_;  ///< adeliver copy target, reused
 };
 
 }  // namespace modcast::core

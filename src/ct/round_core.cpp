@@ -13,7 +13,7 @@ bool enter_round(RoundState& s, const Group& g, std::uint32_t round) {
 
 void record_estimate(RoundState& s, const Group& g, std::uint32_t round,
                      util::ProcessId sender, std::uint32_t ts,
-                     util::Bytes value) {
+                     util::Payload value) {
   s.estimates[round][sender] = Estimate{ts, std::move(value)};
   enter_round(s, g, round);
 }
@@ -26,35 +26,12 @@ void refresh_own_estimate(RoundState& s, const Group& g, std::uint32_t round) {
   it->second = Estimate{s.estimate_ts, s.estimate};
 }
 
-std::uint32_t advance_round(RoundState& s, const Group& g,
-                            const Suspects& suspects) {
-  const std::uint32_t first = s.round + 1;
-  while (true) {
-    ++s.round;
-    const util::ProcessId c = g.coordinator(s.round);
-    if (c == g.self) {
-      enter_round(s, g, s.round);
-      break;
-    }
-    if (!suspects(c)) break;
-    s.nacked_rounds.insert(s.round);
-  }
-  return first;
-}
-
-void move_on(RoundState& s, const Group& g, const Suspects& suspects,
-             const RoundFn& send_estimate, const RoundFn& send_nack,
-             const RoundFn& coordinate) {
-  const std::uint32_t first = advance_round(s, g, suspects);
-  for (std::uint32_t r = first; r < s.round; ++r) {
-    send_estimate(r);
-    send_nack(r);
-  }
-  if (g.coordinator(s.round) == g.self) {
-    coordinate(s.round);
-  } else {
-    send_estimate(s.round);
-  }
+bool replace_estimate(RoundState& s, util::Payload fresh) {
+  if (fresh == s.estimate) return false;
+  s.estimate = std::move(fresh);
+  s.has_estimate = true;
+  s.estimate_sent.erase(s.round);
+  return true;
 }
 
 bool suspect(RoundState& s, const Group& g, util::ProcessId q) {
@@ -124,7 +101,7 @@ const Estimate* locked_estimate(const RoundState& s, const Group& g,
   return locking_rule(ests);
 }
 
-void propose(RoundState& s, std::uint32_t round, util::Bytes value) {
+void propose(RoundState& s, std::uint32_t round, util::Payload value) {
   s.proposed_rounds.insert(round);
   s.estimate = value;
   s.estimate_ts = round;

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -42,9 +41,12 @@ struct Group {
   std::size_t majority() const { return n / 2 + 1; }
 };
 
+/// Values are Payloads: a proposal, the estimate adopted from it and the
+/// decision all share the buffer the value arrived in. Comparisons (rule 2,
+/// state equality) look at the bytes, never at buffer identity.
 struct Estimate {
   std::uint32_t ts = 0;  ///< round of adoption; 0 = initial value
-  util::Bytes value;
+  util::Payload value;
   bool operator==(const Estimate&) const = default;
 };
 
@@ -54,9 +56,9 @@ struct RoundState {
   std::uint32_t round = 1;
   bool decided = false;
   bool has_estimate = false;
-  util::Bytes estimate;
+  util::Payload estimate;
   std::uint32_t estimate_ts = 0;  ///< round of adoption; 0 = initial
-  std::map<std::uint32_t, util::Bytes> proposals;  ///< per-round proposals seen
+  std::map<std::uint32_t, util::Payload> proposals;  ///< per-round proposals seen
   std::set<std::uint32_t> acked_rounds;
   std::set<std::uint32_t> nacked_rounds;
   std::set<std::uint32_t> proposed_rounds;  ///< rounds proposed as coordinator
@@ -70,9 +72,6 @@ struct RoundState {
   bool operator==(const RoundState&) const = default;
 };
 
-/// The failure detector's answer for q.
-using Suspects = std::function<bool(util::ProcessId)>;
-
 /// Moves s into `round` if it is ahead (rounds never go back); as that
 /// round's coordinator, records its own estimate once if it holds one
 /// (rule 3). True when that record happened now.
@@ -82,29 +81,60 @@ bool enter_round(RoundState& s, const Group& g, std::uint32_t round);
 /// earlier one (rule 1), and enters the round (rule 3).
 void record_estimate(RoundState& s, const Group& g, std::uint32_t round,
                      util::ProcessId sender, std::uint32_t ts,
-                     util::Bytes value);
+                     util::Payload value);
 
 /// Overwrites our own recorded estimate for `round` with the current one,
 /// only while the recorded entry is unlocked (ts 0).
 void refresh_own_estimate(RoundState& s, const Group& g, std::uint32_t round);
 
-/// Moves to the next round whose coordinator is self or not suspected,
-/// marking the skipped rounds nacked; returns the first round moved into
-/// (rounds [returned, s.round) were skipped). Ends within n rounds.
+/// A participant rebuilt its unlocked estimate as `fresh`: adopts it when
+/// its bytes differ (equal bytes in another buffer are no change) and
+/// forgets that the estimate for s.round was sent. True when the shell
+/// should send the new estimate.
+bool replace_estimate(RoundState& s, util::Payload fresh);
+
+/// Moves to the next round whose coordinator is self or not suspected
+/// (`suspects(q)` is the failure detector's answer for q), marking the
+/// skipped rounds nacked; returns the first round moved into (rounds
+/// [returned, s.round) were skipped). Ends within n rounds.
+template <typename Suspects>
 std::uint32_t advance_round(RoundState& s, const Group& g,
-                            const Suspects& suspects);
+                            const Suspects& suspects) {
+  const std::uint32_t first = s.round + 1;
+  while (true) {
+    ++s.round;
+    const util::ProcessId c = g.coordinator(s.round);
+    if (c == g.self) {
+      enter_round(s, g, s.round);
+      break;
+    }
+    if (!suspects(c)) break;
+    s.nacked_rounds.insert(s.round);
+  }
+  return first;
+}
 
-/// A shell's reaction to one round: a send addressed to the round's
-/// coordinator, or coordinating it.
-using RoundFn = std::function<void(std::uint32_t round)>;
-
-/// Leaves the current round (advance_round) and tells the group: for each
-/// skipped round r, send_estimate(r) then send_nack(r) — its coordinator is
-/// suspected and must learn we moved on; then coordinate(s.round) when self
-/// coordinates the round moved into, send_estimate(s.round) otherwise.
+/// Leaves the current round (advance_round) and tells the group through the
+/// shell's per-round reactions: for each skipped round r, send_estimate(r)
+/// then send_nack(r) — its coordinator is suspected and must learn we moved
+/// on; then coordinate(s.round) when self coordinates the round moved into,
+/// send_estimate(s.round) otherwise.
+template <typename Suspects, typename SendEstimate, typename SendNack,
+          typename Coordinate>
 void move_on(RoundState& s, const Group& g, const Suspects& suspects,
-             const RoundFn& send_estimate, const RoundFn& send_nack,
-             const RoundFn& coordinate);
+             const SendEstimate& send_estimate, const SendNack& send_nack,
+             const Coordinate& coordinate) {
+  const std::uint32_t first = advance_round(s, g, suspects);
+  for (std::uint32_t r = first; r < s.round; ++r) {
+    send_estimate(r);
+    send_nack(r);
+  }
+  if (g.coordinator(s.round) == g.self) {
+    coordinate(s.round);
+  } else {
+    send_estimate(s.round);
+  }
+}
 
 /// True when suspecting q moves s on: s is undecided and q coordinates its
 /// current round. Marks that round nacked; the caller nacks q and advances.
@@ -140,7 +170,7 @@ const Estimate* locked_estimate(const RoundState& s, const Group& g,
 
 /// The coordinator proposes `value` in `round`, adopting it itself (its
 /// implicit ack).
-void propose(RoundState& s, std::uint32_t round, util::Bytes value);
+void propose(RoundState& s, std::uint32_t round, util::Payload value);
 
 /// True when the proposal for `round` holds a majority of acks (the
 /// coordinator's own included) and s is undecided: broadcast the decision.
@@ -153,7 +183,7 @@ bool count_ack(RoundState& s, const Group& g, std::uint32_t round,
 
 /// One stack's consensus instances plus the decisions retained for answering
 /// pulls. `Instance` extends RoundState with the shell's timers.
-template <typename Instance, typename Value = util::Bytes>
+template <typename Instance, typename Value = util::Payload>
 class Instances {
  public:
   /// Instance k, created on first touch. One touched after its decision

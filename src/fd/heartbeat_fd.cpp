@@ -24,10 +24,9 @@ void HeartbeatFd::start() {
 
 void HeartbeatFd::tick() {
   // Send heartbeats.
-  util::ByteWriter w(1);
+  util::ByteWriter w = framework::Stack::writer(framework::kModFd, 1);
   w.u8(kHeartbeat);
-  const util::Bytes hb = w.take();
-  stack_->send_wire_to_others(framework::kModFd, hb);
+  stack_->send_wire_to_others(framework::kModFd, w.take());
   heartbeats_sent_ += stack_->group_size() - 1;
 
   // Check timeouts.

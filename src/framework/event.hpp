@@ -79,10 +79,12 @@ inline constexpr ModuleId kModFd = 4;
 inline constexpr ModuleId kModMonolithic = 5;
 
 /// Body of kEvPropose / kEvDecide: a consensus instance number and an opaque
-/// serialized value (the consensus module must not interpret it).
+/// serialized value (the consensus module must not interpret it). Payload,
+/// not Bytes: a decided value is a view of the proposal frame it arrived
+/// in, shared by consensus, the retained decision and the abcast layer.
 struct ConsensusValueBody {
   std::uint64_t instance = 0;
-  util::Bytes value;
+  util::Payload value;
 };
 
 /// Body of kEvProposeRequest.

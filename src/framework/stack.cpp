@@ -1,5 +1,8 @@
 #include "framework/stack.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "util/bytes.hpp"
 #include "util/log.hpp"
 
@@ -37,33 +40,31 @@ void Stack::raise(Event event) {
   }
 }
 
-util::Payload Stack::frame(ModuleId module_id,
-                           const util::Payload& payload) const {
-  util::ByteWriter w(payload.size() + 1);
+util::ByteWriter Stack::writer(ModuleId module_id, std::size_t body_reserve) {
+  util::ByteWriter w(body_reserve + 1);
   w.u8(module_id);
-  w.raw(payload);
-  return util::Payload(w.take());
+  return w;
 }
 
-void Stack::send_framed(util::ProcessId to, ModuleId module_id,
-                        const util::Payload& framed,
-                        std::size_t payload_size) {
+void Stack::send_wire(util::ProcessId to, ModuleId module_id,
+                      const util::Payload& frame) {
+  if (frame.empty() || frame[0] != module_id) {
+    throw std::logic_error("stack: frame for wire id " +
+                           std::to_string(module_id) +
+                           " not built with Stack::writer");
+  }
+  const std::size_t payload_size = frame.size() - 1;
   ++counters_.wire_sends;
   auto& wc = wire_counters_[module_id];
   ++wc.messages_sent;
-  wc.bytes_sent += payload_size + 1;
+  wc.bytes_sent += frame.size();
   if (tracer_) {
     tracer_(TraceRecord{rt_->now(), rt_->self(), TraceKind::kWireSend,
                         module_id, to, payload_size, trace_ctx_.instance,
                         trace_ctx_.app_bytes, trace_ctx_.flags});
   }
   if (crossing_cost_ > 0) rt_->charge_cpu(crossing_cost_);
-  rt_->send(to, framed);
-}
-
-void Stack::send_wire(util::ProcessId to, ModuleId module_id,
-                      const util::Payload& payload) {
-  send_framed(to, module_id, frame(module_id, payload), payload.size());
+  rt_->send(to, frame);
 }
 
 const ModuleWireCounters& Stack::wire_counters(ModuleId module_id) const {
@@ -75,12 +76,11 @@ void Stack::reset_wire_counters() {
 }
 
 void Stack::send_wire_to_others(ModuleId module_id,
-                                const util::Payload& payload) {
+                                const util::Payload& frame) {
   const auto n = static_cast<util::ProcessId>(rt_->group_size());
   // One serialization; every destination shares the ref-counted frame.
-  const util::Payload framed = frame(module_id, payload);
   for (util::ProcessId p = 0; p < n; ++p) {
-    if (p != rt_->self()) send_framed(p, module_id, framed, payload.size());
+    if (p != rt_->self()) send_wire(p, module_id, frame);
   }
 }
 

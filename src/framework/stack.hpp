@@ -91,13 +91,21 @@ class Stack final : public runtime::Protocol {
   /// Raises a local event synchronously to all bound handlers.
   void raise(Event event);
 
-  /// Sends `payload` to process `to`, prefixed with the module-id header.
-  void send_wire(util::ProcessId to, ModuleId module_id,
-                 const util::Payload& payload);
+  /// Starts a wire message for `module_id`: the returned writer already
+  /// holds the 1-byte module-id header, so the module serializes its body
+  /// straight into the frame and every send ships it without a copy.
+  static util::ByteWriter writer(ModuleId module_id,
+                                 std::size_t body_reserve = 0);
 
-  /// Sends the same payload to every other process in the group. The framed
-  /// message is built once and shared (ref-counted) across all n-1 sends.
-  void send_wire_to_others(ModuleId module_id, const util::Payload& payload);
+  /// Sends `frame` (built with writer(module_id)) to process `to`.
+  /// Per-destination counters, trace and CPU charge happen here, so a
+  /// fan-out is accounted once per destination.
+  void send_wire(util::ProcessId to, ModuleId module_id,
+                 const util::Payload& frame);
+
+  /// Sends the same frame to every other process in the group; all n-1
+  /// sends share the one ref-counted buffer.
+  void send_wire_to_others(ModuleId module_id, const util::Payload& frame);
 
   const StackCounters& counters() const { return counters_; }
 
@@ -129,14 +137,6 @@ class Stack final : public runtime::Protocol {
   void on_message(util::ProcessId from, util::Payload msg) override;
 
  private:
-  /// Frames `payload` with the 1-byte module-id header.
-  util::Payload frame(ModuleId module_id, const util::Payload& payload) const;
-
-  /// Accounts and ships one already-framed message (per-destination
-  /// counters/trace/CPU charge happen here so fan-out stays faithful).
-  void send_framed(util::ProcessId to, ModuleId module_id,
-                   const util::Payload& framed, std::size_t payload_size);
-
   runtime::Runtime* rt_;
   util::Duration crossing_cost_;
   std::vector<Module*> modules_;

@@ -64,7 +64,7 @@ bool MonolithicAbcast::is_designated_resender(util::ProcessId origin,
 // Application side / flow control
 // --------------------------------------------------------------------------
 
-std::uint64_t MonolithicAbcast::abcast(util::Bytes payload) {
+std::uint64_t MonolithicAbcast::abcast(util::Payload payload) {
   const std::uint64_t seq = flow_.enqueue(std::move(payload));
   admit_queued();
   if (i_am_initial_coordinator()) start_instances();
@@ -83,9 +83,10 @@ void MonolithicAbcast::admit_queued() {
 void MonolithicAbcast::route_message(adb::AppMessage m) {
   if (!config_.opt_piggyback) {
     // Modular-style diffusion: everyone gets (and pools) the message.
-    util::ByteWriter w(m.payload.size() + 32);
+    util::ByteWriter w = framework::Stack::writer(
+        framework::kModMonolithic, m.payload.size() + 32);
     w.u8(kForward);
-    w.raw(adb::encode_batch({m}));
+    adb::encode_batch(w, {m});
     framework::TraceScope scope(*stack_, framework::kNoInstance,
                                 m.payload.size());
     stack_->send_wire_to_others(framework::kModMonolithic, w.take());
@@ -114,9 +115,10 @@ void MonolithicAbcast::flush_outbox_standalone() {
   if (outbox_.empty()) return;
   std::vector<adb::AppMessage> batch(outbox_.begin(), outbox_.end());
   outbox_.clear();
-  util::ByteWriter w;
+  util::ByteWriter w = framework::Stack::writer(
+      framework::kModMonolithic, adb::encoded_size(batch) + 1);
   w.u8(kForward);
-  w.raw(adb::encode_batch(batch));
+  adb::encode_batch(w, batch);
   // Route to the coordinator of the instance currently making progress. If
   // the initial coordinator is suspected and no instance is active, spin up
   // recovery first so the forward goes to a live coordinator.
@@ -154,7 +156,7 @@ void MonolithicAbcast::pool_add(adb::AppMessage m) {
   flow_.pool_add(std::move(m), stack_->rt().now());
 }
 
-util::Bytes MonolithicAbcast::build_estimate_value() {
+util::Payload MonolithicAbcast::build_estimate_value() {
   // Recovery initial value: own undelivered messages plus whatever we have
   // pooled (in-flight proposals included — a crashed instance's messages
   // must not be lost) — safety over compactness in bad runs.
@@ -199,8 +201,6 @@ bool MonolithicAbcast::try_start_instance() {
   if (batch.empty()) return false;
 
   Instance& inst = instance(k);
-  ct::propose(inst, 1, adb::encode_batch(batch));
-  const util::Bytes& value = inst.proposals[1];
 
   // §4.1: piggyback a decision tag on this proposal. Prefer a decision not
   // yet shipped in any COMBINED; when there is none, re-attach the latest
@@ -218,7 +218,8 @@ bool MonolithicAbcast::try_start_instance() {
       has_dec = true;
     }
   }
-  util::ByteWriter w(value.size() + 32);
+  util::ByteWriter w = framework::Stack::writer(
+      framework::kModMonolithic, adb::encoded_size(batch) + 32);
   w.u8(kCombined);
   w.u8(has_dec ? kFlagHasDecision : 0);
   if (has_dec) {
@@ -227,10 +228,15 @@ bool MonolithicAbcast::try_start_instance() {
     ++stats_.combined_sent;
   }
   w.u64(k);
-  w.raw(value);
+  const std::size_t value_at = w.size();
+  adb::encode_batch(w, batch);
+  const util::Payload frame = w.take();
+  // The batch is serialized once, into the frame; the proposal (and the
+  // decision it becomes) is a view of it.
+  ct::propose(inst, 1, frame.slice(value_at));
   {
     framework::TraceScope scope(*stack_, k, adb::payload_bytes(batch));
-    stack_->send_wire_to_others(framework::kModMonolithic, w.take());
+    stack_->send_wire_to_others(framework::kModMonolithic, frame);
   }
 
   arm_retransmit(inst, 1);
@@ -295,12 +301,13 @@ void MonolithicAbcast::arm_retransmit(Instance& inst, std::uint32_t round) {
           return;
         }
         // Resend the proposal to everyone that has not acked yet.
-        util::ByteWriter w(inst.proposals[round].size() + 32);
+        util::ByteWriter w = framework::Stack::writer(
+            framework::kModMonolithic, inst.proposals[round].size() + 32);
         w.u8(kProposal);
         w.u64(k);
         w.u32(round);
         w.raw(inst.proposals[round]);
-        const util::Bytes msg = w.take();
+        const util::Payload msg = w.take();
         const auto n = static_cast<util::ProcessId>(stack_->group_size());
         const auto& acked = inst.ack_senders[round];
         framework::TraceScope scope(*stack_, k, 0);
@@ -316,7 +323,7 @@ void MonolithicAbcast::arm_retransmit(Instance& inst, std::uint32_t round) {
 void MonolithicAbcast::coordinator_decided(Instance& inst,
                                            std::uint32_t round) {
   const std::uint64_t k = inst.k;
-  util::Bytes batch = inst.proposals[round];
+  util::Payload batch = inst.proposals[round];
   decide(k, round, batch);  // applies locally; admits new own messages
 
   if (round > 1) {
@@ -353,7 +360,7 @@ void MonolithicAbcast::coordinator_decided(Instance& inst,
 
 void MonolithicAbcast::send_standalone_tag(std::uint64_t k,
                                            std::uint32_t round) {
-  util::ByteWriter w(16);
+  util::ByteWriter w = framework::Stack::writer(framework::kModMonolithic, 16);
   w.u8(kDecisionTag);
   w.u64(k);
   w.u32(round);
@@ -394,20 +401,22 @@ void MonolithicAbcast::send_estimate(Instance& inst, std::uint32_t round,
   }
   outbox_.clear();  // superseded: everything undelivered rides this estimate
 
-  util::ByteWriter w(inst.estimate.size() + 64);
+  util::ByteWriter w = framework::Stack::writer(
+      framework::kModMonolithic,
+      inst.estimate.size() + adb::encoded_size(piggy) + 32);
   w.u8(kEstimate);
   w.u64(inst.k);
   w.u32(round);
   w.u32(inst.estimate_ts);
   w.blob(inst.estimate);
-  w.raw(adb::encode_batch(piggy));
+  adb::encode_batch(w, piggy);
   framework::TraceScope scope(*stack_, inst.k, adb::payload_bytes(piggy));
   stack_->send_wire(coord, framework::kModMonolithic, w.take());
 }
 
 void MonolithicAbcast::send_nack(std::uint64_t k, std::uint32_t round,
                                  util::ProcessId to) {
-  util::ByteWriter w(16);
+  util::ByteWriter w = framework::Stack::writer(framework::kModMonolithic, 16);
   w.u8(kNack);
   w.u64(k);
   w.u32(round);
@@ -415,7 +424,7 @@ void MonolithicAbcast::send_nack(std::uint64_t k, std::uint32_t round,
   stack_->send_wire(to, framework::kModMonolithic, w.take());
 }
 
-bool MonolithicAbcast::batch_is_empty(const util::Bytes& value) {
+bool MonolithicAbcast::batch_is_empty(const util::Payload& value) {
   if (value.size() < 4) return true;
   util::ByteReader r(value);
   return r.u32() == 0;
@@ -438,7 +447,8 @@ void MonolithicAbcast::check_estimates(Instance& inst, std::uint32_t round) {
     // below and the value-holder may not have joined yet): solicit the
     // processes that have not sent an estimate for this round.
     if (inst.solicited_rounds.insert(round).second) {
-      util::ByteWriter w(16);
+      util::ByteWriter w =
+          framework::Stack::writer(framework::kModMonolithic, 16);
       w.u8(kSolicit);
       w.u64(inst.k);
       w.u32(round);
@@ -452,8 +462,9 @@ void MonolithicAbcast::check_estimates(Instance& inst, std::uint32_t round) {
   if (best == nullptr || (best->ts == 0 && batch_is_empty(best->value))) return;
   ct::propose(inst, round, best->value);
 
-  const util::Bytes& value = inst.proposals[round];
-  util::ByteWriter w(value.size() + 32);
+  const util::Payload& value = inst.proposals[round];
+  util::ByteWriter w = framework::Stack::writer(framework::kModMonolithic,
+                                                value.size() + 32);
   w.u8(kProposal);
   w.u64(inst.k);
   w.u32(round);
@@ -480,18 +491,19 @@ void MonolithicAbcast::send_ack(Instance& inst, std::uint32_t round,
     }
     stats_.piggybacked_messages += piggy.size();
   }
-  util::ByteWriter w(64);
+  util::ByteWriter w = framework::Stack::writer(
+      framework::kModMonolithic, adb::encoded_size(piggy) + 16);
   w.u8(kAck);
   w.u64(inst.k);
   w.u32(round);
-  w.raw(adb::encode_batch(piggy));
+  adb::encode_batch(w, piggy);
   framework::TraceScope scope(*stack_, inst.k, adb::payload_bytes(piggy));
   stack_->send_wire(coord, framework::kModMonolithic, w.take());
 }
 
 void MonolithicAbcast::handle_proposal(util::ProcessId from, std::uint64_t k,
                                        std::uint32_t round,
-                                       util::Bytes batch) {
+                                       util::Payload batch) {
   if (k < flow_.next_decide()) return;  // stale instance
   Instance& inst = instance(k);
   inst.proposals[round] = std::move(batch);
@@ -546,7 +558,7 @@ void MonolithicAbcast::resolve_decision_tag(std::uint64_t k,
 }
 
 void MonolithicAbcast::decide(std::uint64_t k, std::uint32_t round,
-                              util::Bytes batch) {
+                              util::Payload batch) {
   if (k < flow_.next_decide()) return;  // already applied (possibly pruned)
   if (instances_.decided(k)) return;
   Instance* inst = instances_.decide(k, Decided{round, batch});
@@ -569,7 +581,7 @@ void MonolithicAbcast::decide(std::uint64_t k, std::uint32_t round,
 }
 
 void MonolithicAbcast::apply_ready_decisions() {
-  const adb::Flow::DeliverFn on_ordered = [this](const adb::AppMessage& m) {
+  const auto on_ordered = [this](const adb::AppMessage& m) {
     if (m.id.origin == stack_->self()) {
       own_pending_.erase(m.id);
       // Drop it from the outbox too: it is ordered, no need to forward.
@@ -578,7 +590,7 @@ void MonolithicAbcast::apply_ready_decisions() {
     }
     if (deliver_) deliver_(m.id.origin, m.id.seq, m.payload);
   };
-  while (const util::Bytes* value = flow_.next_decision()) {
+  while (const util::Payload* value = flow_.next_decision()) {
     flow_.apply_next(adb::decode_batch(*value), on_ordered);
     stack_->rt().charge_cpu(flow_.config().instance_overhead);
   }
@@ -604,19 +616,17 @@ void MonolithicAbcast::recheck_active_estimates() {
   // so the held round can choose a value that actually carries messages.
   if (inst.estimate_ts != 0) return;
   if (inst.estimate_sent.count(inst.round) == 0) return;
-  util::Bytes fresh = build_estimate_value();
-  if (fresh == inst.estimate) return;  // nothing new
-  inst.estimate = std::move(fresh);
-  inst.has_estimate = true;
-  inst.estimate_sent.erase(inst.round);
-  send_estimate(inst, inst.round, c);
+  if (ct::replace_estimate(inst, build_estimate_value())) {
+    send_estimate(inst, inst.round, c);
+  }
 }
 
 bool MonolithicAbcast::reply_decision_if_known(util::ProcessId to,
                                                std::uint64_t k) {
   const Decided* d = instances_.decision(k);
   if (d == nullptr) return false;
-  util::ByteWriter w(d->batch.size() + 16);
+  util::ByteWriter w = framework::Stack::writer(framework::kModMonolithic,
+                                                d->batch.size() + 16);
   w.u8(kFullReply);
   w.u64(k);
   w.u32(d->round);
@@ -627,7 +637,7 @@ bool MonolithicAbcast::reply_decision_if_known(util::ProcessId to,
 }
 
 void MonolithicAbcast::start_pull(Instance& inst) {
-  util::ByteWriter w(16);
+  util::ByteWriter w = framework::Stack::writer(framework::kModMonolithic, 16);
   w.u8(kPull);
   w.u64(inst.k);
   {
@@ -646,9 +656,10 @@ void MonolithicAbcast::start_pull(Instance& inst) {
 
 void MonolithicAbcast::broadcast_decision_fallback(std::uint64_t k,
                                                    std::uint32_t round,
-                                                   const util::Bytes& batch,
+                                                   const util::Payload& batch,
                                                    bool relay_seen) {
-  util::ByteWriter w(batch.size() + 16);
+  util::ByteWriter w = framework::Stack::writer(framework::kModMonolithic,
+                                                batch.size() + 16);
   w.u8(kDecisionFull);
   w.u64(k);
   w.u32(round);
@@ -677,15 +688,13 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
         resolve_decision_tag(dec_k, dec_round);
       }
       const std::uint64_t k = r.u64();
-      util::Bytes batch(r.rest().begin(), r.rest().end());
-      handle_proposal(from, k, 1, std::move(batch));
+      handle_proposal(from, k, 1, r.rest_payload());
       break;
     }
     case kAck: {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
-      util::Bytes piggy(r.rest().begin(), r.rest().end());
-      for (auto& m : adb::decode_batch(piggy)) pool_add(std::move(m));
+      for (auto& m : adb::decode_batch(r)) pool_add(std::move(m));
       if (k >= flow_.next_decide() && !instances_.decided(k)) {
         Instance& inst = instance(k);
         if (ct::count_ack(inst, group(), round, from)) {
@@ -697,8 +706,7 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       break;
     }
     case kForward: {
-      util::Bytes batch(r.rest().begin(), r.rest().end());
-      for (auto& m : adb::decode_batch(batch)) pool_add(std::move(m));
+      for (auto& m : adb::decode_batch(r)) pool_add(std::move(m));
       start_instances();
       // If we coordinate a held recovery round, the fresh pool content may
       // unblock it.
@@ -712,7 +720,8 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       if (!config_.opt_cheap_decision &&
           is_designated_resender(group().coordinator(round), stack_->self()) &&
           relayed_decisions_.mark(kRelayTagChannel, k)) {
-        util::ByteWriter w(16);
+        util::ByteWriter w =
+            framework::Stack::writer(framework::kModMonolithic, 16);
         w.u8(kDecisionTag);
         w.u64(k);
         w.u32(round);
@@ -726,9 +735,8 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
       const std::uint32_t ts = r.u32();
-      util::Bytes est = r.blob();
-      util::Bytes piggy(r.rest().begin(), r.rest().end());
-      for (auto& m : adb::decode_batch(piggy)) pool_add(std::move(m));
+      util::Payload est = r.blob_payload();
+      for (auto& m : adb::decode_batch(r)) pool_add(std::move(m));
       if (instances_.decided(k) || k < flow_.next_decide()) {
         reply_decision_if_known(from, k);
         break;
@@ -741,14 +749,13 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
     case kProposal: {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
-      util::Bytes batch(r.rest().begin(), r.rest().end());
-      handle_proposal(from, k, round, std::move(batch));
+      handle_proposal(from, k, round, r.rest_payload());
       break;
     }
     case kDecisionFull: {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
-      util::Bytes batch(r.rest().begin(), r.rest().end());
+      const util::Payload batch = r.rest_payload();
       const bool first = relayed_decisions_.mark(kRelayFullChannel, k);
       decide(k, round, batch);
       if (first) {
@@ -774,8 +781,7 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
     case kFullReply: {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
-      util::Bytes batch(r.rest().begin(), r.rest().end());
-      decide(k, round, std::move(batch));
+      decide(k, round, r.rest_payload());
       break;
     }
     case kSolicit: {
@@ -858,9 +864,10 @@ void MonolithicAbcast::arm_liveness_timer() {
           flush_outbox_standalone();
         } else if (!config_.opt_piggyback) {
           for (const auto& [id, payload] : own_pending_) {
-            util::ByteWriter w(payload.size() + 32);
+            util::ByteWriter w = framework::Stack::writer(
+                framework::kModMonolithic, payload.size() + 32);
             w.u8(kForward);
-            w.raw(adb::encode_batch({adb::AppMessage{id, payload}}));
+            adb::encode_batch(w, {adb::AppMessage{id, payload}});
             framework::TraceScope scope(*stack_, framework::kNoInstance,
                                         payload.size());
             stack_->send_wire_to_others(framework::kModMonolithic, w.take());

@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -81,10 +80,6 @@ struct MonolithicStats {
 
 class MonolithicAbcast final : public framework::Module {
  public:
-  using DeliverFn = std::function<void(util::ProcessId, std::uint64_t,
-                                       const util::Bytes&)>;
-  using AdmitFn = std::function<void(std::uint64_t)>;
-
   explicit MonolithicAbcast(adb::FlowConfig flow = {},
                             MonolithicConfig config = {},
                             const fd::HeartbeatFd* fd = nullptr)
@@ -96,23 +91,30 @@ class MonolithicAbcast final : public framework::Module {
 
   /// A-broadcasts payload (queues above the flow-control window). Returns
   /// the assigned sequence number.
-  std::uint64_t abcast(util::Bytes payload);
+  std::uint64_t abcast(util::Payload payload);
 
-  void set_deliver_handler(DeliverFn fn) { deliver_ = std::move(fn); }
-  void set_admit_handler(AdmitFn fn) { admit_ = std::move(fn); }
+  void set_deliver_handler(adb::DeliverFn fn) { deliver_ = std::move(fn); }
+  void set_admit_handler(adb::AdmitFn fn) { admit_ = std::move(fn); }
 
   const MonolithicStats& stats() const { return stats_; }
   const adb::Flow& flow() const { return flow_; }
+  /// Retained decision of instance k (the ordered batch), or nullptr if
+  /// undecided or pruned. A view of the proposal frame it was decided from.
+  const util::Payload* decision(std::uint64_t k) const {
+    const Decided* d = instances_.decision(k);
+    return d == nullptr ? nullptr : &d->batch;
+  }
 
  private:
   struct Instance : ct::RoundState {
     runtime::TimerId pull_timer = runtime::kInvalidTimer;
     runtime::TimerId retransmit_timer = runtime::kInvalidTimer;
   };
-  /// A retained decision: the round that decided it and the batch.
+  /// A retained decision: the round that decided it and the batch — a view
+  /// of the proposal frame it was decided from.
   struct Decided {
     std::uint32_t round = 0;
-    util::Bytes batch;
+    util::Payload batch;
   };
 
   // --- identity helpers ---
@@ -135,7 +137,7 @@ class MonolithicAbcast final : public framework::Module {
   void flush_outbox_standalone();
   void arm_flush_timer();
   void pool_add(adb::AppMessage m);
-  util::Bytes build_estimate_value();
+  util::Payload build_estimate_value();
 
   // --- coordinator good path ---
   bool try_start_instance();
@@ -158,7 +160,7 @@ class MonolithicAbcast final : public framework::Module {
   void send_nack(std::uint64_t k, std::uint32_t round, util::ProcessId to);
   void check_estimates(Instance& inst, std::uint32_t round);
   void handle_proposal(util::ProcessId from, std::uint64_t k,
-                       std::uint32_t round, util::Bytes batch);
+                       std::uint32_t round, util::Payload batch);
   void send_ack(Instance& inst, std::uint32_t round, util::ProcessId coord);
 
   // --- decisions ---
@@ -170,14 +172,15 @@ class MonolithicAbcast final : public framework::Module {
   /// laggard catches up at one instance per round trip instead of one per
   /// liveness timeout.
   bool reply_decision_if_known(util::ProcessId to, std::uint64_t k);
-  void decide(std::uint64_t k, std::uint32_t round, util::Bytes batch);
+  void decide(std::uint64_t k, std::uint32_t round, util::Payload batch);
   void apply_ready_decisions();
   void start_pull(Instance& inst);
   void broadcast_decision_fallback(std::uint64_t k, std::uint32_t round,
-                                   const util::Bytes& batch, bool relay_seen);
+                                   const util::Payload& batch,
+                                   bool relay_seen);
   bool is_designated_resender(util::ProcessId origin,
                               util::ProcessId relay) const;
-  static bool batch_is_empty(const util::Bytes& value);
+  static bool batch_is_empty(const util::Payload& value);
   void recheck_active_estimates();
 
   // --- wire ---
@@ -189,14 +192,14 @@ class MonolithicAbcast final : public framework::Module {
   MonolithicConfig config_;
   const fd::HeartbeatFd* fd_;
   framework::Stack* stack_ = nullptr;
-  DeliverFn deliver_;
-  AdmitFn admit_;
+  adb::DeliverFn deliver_;
+  adb::AdmitFn admit_;
 
   // Admission, the ordering pool (coordinator: messages to order; with
   // opt_piggyback off, every process pools every diffused message, like the
   // modular stack), the pipelining gate and in-order application.
   adb::Flow flow_;
-  std::map<adb::MsgId, util::Bytes> own_pending_;  ///< admitted, undelivered
+  std::map<adb::MsgId, util::Payload> own_pending_;  ///< admitted, undelivered
   std::deque<adb::AppMessage> outbox_;  ///< not yet sent to coordinator
   runtime::TimerId flush_timer_ = runtime::kInvalidTimer;
   runtime::TimerId batch_timer_ = runtime::kInvalidTimer;  ///< δ-time trigger

@@ -20,20 +20,21 @@ void ReliableBcast::init(framework::Stack& stack) {
 
 util::Payload ReliableBcast::encode(util::ProcessId origin, std::uint64_t seq,
                                     const util::Payload& payload) const {
-  util::ByteWriter w(payload.size() + 16);
+  util::ByteWriter w =
+      framework::Stack::writer(framework::kModRbcast, payload.size() + 16);
   w.u32(origin);
   w.u64(seq);
   w.blob(payload);
-  return util::Payload(w.take());
+  return w.take();
 }
 
 void ReliableBcast::rbcast(util::Payload payload) {
   const util::ProcessId self = stack_->self();
   const std::uint64_t seq = next_seq_++;
-  const util::Payload encoded = encode(self, seq, payload);
-  stack_->send_wire_to_others(framework::kModRbcast, encoded);
+  stack_->send_wire_to_others(framework::kModRbcast,
+                              encode(self, seq, payload));
   // Local rdelivery: the broadcaster delivers without a network hop.
-  deliver_and_maybe_relay(self, seq, std::move(payload), encoded,
+  deliver_and_maybe_relay(self, seq, std::move(payload),
                           /*i_am_origin=*/true);
 }
 
@@ -54,18 +55,15 @@ void ReliableBcast::on_wire(util::ProcessId from, util::Payload msg) {
   util::ByteReader r(msg);
   const util::ProcessId origin = r.u32();
   const std::uint64_t seq = r.u64();
-  const std::uint32_t len = r.u32();
-  // Zero-copy: the delivered payload is a slice of the received message,
-  // and a relay forwards the received encoding verbatim.
-  util::Payload payload = msg.slice(r.position(), len);
-  deliver_and_maybe_relay(origin, seq, std::move(payload), msg,
+  // Zero-copy: the delivered payload is a slice of the received message.
+  util::Payload payload = r.blob_payload();
+  deliver_and_maybe_relay(origin, seq, std::move(payload),
                           /*i_am_origin=*/false);
 }
 
 void ReliableBcast::deliver_and_maybe_relay(util::ProcessId origin,
                                             std::uint64_t seq,
                                             util::Payload payload,
-                                            const util::Payload& encoded,
                                             bool i_am_origin) {
   if (!delivered_.mark(origin, seq)) return;  // duplicate
 
@@ -75,7 +73,7 @@ void ReliableBcast::deliver_and_maybe_relay(util::ProcessId origin,
         config_.variant == Variant::kClassic ||
         is_designated_resender(origin, stack_->self());
     if (should_relay) {
-      relay(encoded);
+      relay(origin, seq, payload);
       relayed = true;
     }
   }
@@ -87,13 +85,15 @@ void ReliableBcast::deliver_and_maybe_relay(util::ProcessId origin,
       framework::RdeliverBody{origin, std::move(payload)}));
 }
 
-void ReliableBcast::relay(const util::Payload& encoded) {
+void ReliableBcast::relay(util::ProcessId origin, std::uint64_t seq,
+                          const util::Payload& payload) {
   // Relays happen before the rdeliver raise, outside any instance scope the
   // original broadcaster had; mark them so metrics can separate the
   // ⌊(n−1)/2⌋·(n−1) relay copies from initial fan-outs.
   framework::TraceScope scope(*stack_, framework::kNoInstance, 0,
                               framework::kTraceFlagRelay);
-  stack_->send_wire_to_others(framework::kModRbcast, encoded);
+  stack_->send_wire_to_others(framework::kModRbcast,
+                              encode(origin, seq, payload));
 }
 
 void ReliableBcast::remember(util::ProcessId origin, std::uint64_t seq,
@@ -111,7 +111,7 @@ void ReliableBcast::on_suspect(util::ProcessId q) {
     const bool q_responsible =
         q == rec.origin || is_designated_resender(rec.origin, q);
     if (q_responsible && !rec.relayed_by_me) {
-      relay(encode(rec.origin, rec.seq, rec.payload));
+      relay(rec.origin, rec.seq, rec.payload);
       rec.relayed_by_me = true;
     }
   }

@@ -69,13 +69,13 @@ class ReliableBcast final : public framework::Module {
 
   void on_wire(util::ProcessId from, util::Payload msg);
   void on_suspect(util::ProcessId q);
-  /// `encoded` is the full wire encoding of (origin, seq, payload) — for a
-  /// received message it is the message itself, so a relay forwards the
-  /// received buffer without re-serializing.
   void deliver_and_maybe_relay(util::ProcessId origin, std::uint64_t seq,
-                               util::Payload payload,
-                               const util::Payload& encoded, bool i_am_origin);
-  void relay(const util::Payload& encoded);
+                               util::Payload payload, bool i_am_origin);
+  /// Re-broadcasts (origin, seq, payload) in a fresh frame. Good-run relays
+  /// carry decision tags, so the re-serialization copies a few bytes.
+  void relay(util::ProcessId origin, std::uint64_t seq,
+             const util::Payload& payload);
+  /// The wire frame of (origin, seq, payload).
   util::Payload encode(util::ProcessId origin, std::uint64_t seq,
                        const util::Payload& payload) const;
   void remember(util::ProcessId origin, std::uint64_t seq,

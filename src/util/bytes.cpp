@@ -116,6 +116,23 @@ std::string ByteReader::str() {
   return s;
 }
 
+Payload ByteReader::blob_payload() {
+  std::uint32_t n = u32();
+  return slice(n);
+}
+
+Payload ByteReader::rest_payload() { return slice(remaining()); }
+
+Payload ByteReader::slice(std::size_t n) {
+  need(n);
+  if (backing_.data() != data_.data()) {
+    throw std::logic_error("ByteReader: slice reads need a Payload reader");
+  }
+  Payload out = backing_.slice(pos_, n);
+  pos_ += n;
+  return out;
+}
+
 Bytes ByteReader::raw(std::size_t n) {
   need(n);
   Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),

@@ -7,6 +7,8 @@
 // are available where the paper's header-size arguments matter.
 #pragma once
 
+#include <algorithm>
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -128,6 +130,21 @@ class Payload {
     return out;
   }
 
+  /// Content equality and order: bytes, never buffer identity. Two views of
+  /// distinct buffers holding equal bytes compare equal. The order is
+  /// lexicographic, the same as Bytes'.
+  friend bool operator==(const Payload& a, const Payload& b) {
+    return a.size() == b.size() &&
+           std::equal(a.span().begin(), a.span().end(), b.span().begin());
+  }
+  friend std::strong_ordering operator<=>(const Payload& a,
+                                          const Payload& b) {
+    const auto x = a.span();
+    const auto y = b.span();
+    return std::lexicographical_compare_three_way(x.begin(), x.end(),
+                                                  y.begin(), y.end());
+  }
+
   // --- introspection (tests assert the zero-copy properties) ---------------
   bool shares_buffer(const Payload& other) const {
     return buf_ != nullptr && buf_ == other.buf_;
@@ -185,13 +202,16 @@ class ByteWriter {
   Bytes buf_;
 };
 
-/// Reads primitive values from a byte span. Does not own the data.
+/// Reads primitive values from a byte span. A reader built from a Payload
+/// also hands out slices of it: blob_payload() and rest_payload() return
+/// views of the same buffer, so decoding never copies a payload.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
   explicit ByteReader(const Bytes& data)
       : data_(std::span<const std::uint8_t>(data.data(), data.size())) {}
-  explicit ByteReader(const Payload& data) : data_(data.span()) {}
+  explicit ByteReader(const Payload& data)
+      : data_(data.span()), backing_(data) {}
 
   std::uint8_t u8();
   std::uint16_t u16();
@@ -200,11 +220,18 @@ class ByteReader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64();
   std::uint64_t varint();
+  /// Length-prefixed bytes as an owned copy.
   Bytes blob();
   std::string str();
 
-  /// Reads exactly n raw bytes.
+  /// Reads exactly n raw bytes as an owned copy.
   Bytes raw(std::size_t n);
+
+  /// Length-prefixed bytes as a slice of the backing Payload (no copy).
+  /// Throws std::logic_error on a reader not built from a Payload.
+  Payload blob_payload();
+  /// Consumes the remaining unread bytes as a slice of the backing Payload.
+  Payload rest_payload();
 
   /// Returns the remaining unread bytes without consuming them.
   std::span<const std::uint8_t> rest() const { return data_.subspan(pos_); }
@@ -215,8 +242,11 @@ class ByteReader {
 
  private:
   void need(std::size_t n) const;
+  /// The next n bytes as a slice of backing_.
+  Payload slice(std::size_t n);
 
   std::span<const std::uint8_t> data_;
+  Payload backing_;  ///< set when built from a Payload
   std::size_t pos_ = 0;
 };
 

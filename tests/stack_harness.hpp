@@ -26,6 +26,10 @@ inline std::string string_of(const util::Bytes& b) {
   return std::string(b.begin(), b.end());
 }
 
+inline std::string string_of(const util::Payload& p) {
+  return std::string(p.span().begin(), p.span().end());
+}
+
 /// One process running FD + RBcast (+ optionally Consensus).
 struct Node {
   explicit Node(runtime::Runtime& rt, fd::FdConfig fdc = {},
@@ -57,7 +61,7 @@ struct Node {
     });
     stack.bind(framework::kEvDecide, [this](const framework::Event& ev) {
       auto& body = ev.as<framework::ConsensusValueBody>();
-      decided[body.instance] = body.value;
+      decided[body.instance] = body.value.to_bytes();
     });
     stack.bind(framework::kEvSuspect, [this](const framework::Event& ev) {
       suspect_events.push_back(ev.as<framework::SuspicionBody>().process);

@@ -22,8 +22,59 @@ std::vector<MsgId> ids(const std::vector<AppMessage>& batch) {
 }
 
 // ---------------------------------------------------------------------------
+// Zero-copy codec
+// ---------------------------------------------------------------------------
+
+TEST(AdbCodec, DecodedBatchSharesTheValuesBuffer) {
+  const util::Payload value = encode_batch({msg(1, 0, 64), msg(2, 5, 16)});
+  const std::vector<AppMessage> batch = decode_batch(value);
+  ASSERT_EQ(batch.size(), 2u);
+  for (const AppMessage& m : batch) {
+    EXPECT_TRUE(m.payload.shares_buffer(value));
+  }
+  EXPECT_EQ(batch[0].payload.size(), 64u);
+  EXPECT_EQ(batch[1].id, (MsgId{2, 5}));
+  // A batch encoded straight into a frame after a header decodes the same
+  // way from the frame's reader.
+  util::ByteWriter w;
+  w.u8(9);
+  encode_batch(w, {msg(3, 1, 8)});
+  const util::Payload frame(w.take());
+  util::ByteReader r(frame);
+  r.u8();
+  const std::vector<AppMessage> framed = decode_batch(r);
+  ASSERT_EQ(framed.size(), 1u);
+  EXPECT_TRUE(framed[0].payload.shares_buffer(frame));
+  EXPECT_TRUE(r.done());
+}
+
+TEST(AdbCodec, BlobOverrunningTheValueThrows) {
+  // One message whose payload length claims more bytes than remain.
+  util::ByteWriter w;
+  w.u32(1);
+  w.u32(0);
+  w.u64(0);
+  w.u32(1000);
+  w.raw(util::Bytes(8, 0));
+  EXPECT_THROW(decode_batch(util::Payload(w.take())), util::DecodeError);
+}
+
+// ---------------------------------------------------------------------------
 // Batcher
 // ---------------------------------------------------------------------------
+
+TEST(Batcher, CutAndPeekShareThePooledPayloads) {
+  FlowConfig cfg;
+  Batcher b(cfg);
+  const AppMessage m = msg(0, 0, 16384);
+  b.add(m, 0);
+  const std::vector<AppMessage> peeked = b.peek(8);
+  const std::vector<AppMessage> cut = b.cut(0);
+  ASSERT_EQ(peeked.size(), 1u);
+  ASSERT_EQ(cut.size(), 1u);
+  EXPECT_TRUE(peeked[0].payload.shares_buffer(m.payload));
+  EXPECT_TRUE(cut[0].payload.shares_buffer(m.payload));
+}
 
 TEST(Batcher, CutStopsAtCountCap) {
   FlowConfig cfg;
@@ -104,7 +155,7 @@ TEST(Batcher, PeekCoversInFlightEntriesAndMarksNothing) {
 /// Applies every buffered decision in order; returns the delivered ids.
 std::vector<MsgId> apply_ready(Flow& f) {
   std::vector<MsgId> out;
-  while (const util::Bytes* value = f.next_decision()) {
+  while (const util::Payload* value = f.next_decision()) {
     f.apply_next(decode_batch(*value),
                  [&out](const AppMessage& m) { out.push_back(m.id); });
   }

@@ -163,6 +163,49 @@ TEST(Payload, SliceIsZeroCopyView) {
   EXPECT_TRUE(mid.shares_buffer(whole));
 }
 
+TEST(Payload, SliceReadsShareTheReadersPayload) {
+  ByteWriter w;
+  w.u8(7);
+  w.blob(Bytes{1, 2, 3});
+  w.raw(Bytes{4, 5});
+  const Payload frame(w.take());
+  ByteReader r(frame);
+  EXPECT_EQ(r.u8(), 7);
+  const Payload blob = r.blob_payload();
+  EXPECT_TRUE(blob.shares_buffer(frame));
+  EXPECT_EQ(blob.to_bytes(), (Bytes{1, 2, 3}));
+  const Payload rest = r.rest_payload();
+  EXPECT_TRUE(rest.shares_buffer(frame));
+  EXPECT_EQ(rest.to_bytes(), (Bytes{4, 5}));
+  EXPECT_TRUE(r.done());
+}
+
+TEST(Payload, SliceReadsCheckBoundsAndBacking) {
+  ByteWriter w;
+  w.u32(10);  // claims 10 bytes, holds 2
+  w.u16(0);
+  const Payload frame(w.take());
+  ByteReader r(frame);
+  EXPECT_THROW(r.blob_payload(), TruncatedReadError);
+  // A reader over plain bytes has no buffer to share.
+  const Bytes plain = {0, 0, 0, 0};
+  ByteReader p(plain);
+  EXPECT_THROW(p.blob_payload(), std::logic_error);
+}
+
+TEST(Payload, ComparesContentNotIdentity) {
+  const Payload a(Bytes{1, 2, 3});
+  const Payload b(Bytes{1, 2, 3});
+  const Payload c(Bytes{1, 2, 4});
+  EXPECT_FALSE(a.shares_buffer(b));
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, c);
+  EXPECT_LT(a, c);
+  EXPECT_LT(Payload(Bytes{1, 2}), a);  // a prefix orders first, like Bytes
+  EXPECT_EQ(Payload(), Payload(Bytes{}));
+  EXPECT_EQ(Payload(Bytes{9, 1, 2, 3, 9}).slice(1, 3), a);
+}
+
 TEST(Payload, SliceOutOfRangeThrows) {
   Payload p{Bytes(4, 0)};
   EXPECT_THROW(p.slice(5), DecodeError);

@@ -22,7 +22,7 @@ RoundState with_estimate(const std::string& value) {
   return s;
 }
 
-Suspects suspecting(std::set<util::ProcessId> suspected) {
+auto suspecting(std::set<util::ProcessId> suspected) {
   return [suspected](util::ProcessId q) { return suspected.count(q) != 0; };
 }
 
@@ -182,6 +182,73 @@ TEST(CtCore, VoteAcksSuspectsAndCatchesUp) {
   EXPECT_EQ(vote(s, g, 2, true), Vote::kNack);
   EXPECT_EQ(s.round, 2u);
   EXPECT_EQ(vote(s, g, 2, false), Vote::kIgnore);
+}
+
+TEST(CtCore, ValuesCompareByBytesNeverByBuffer) {
+  // Values are Payloads that share the buffer they arrived in, so two
+  // processes' equal values usually sit in distinct buffers. Every
+  // comparison the round core makes must look at the bytes.
+  const util::Payload a = bytes_of("batch-1");
+  const util::Payload a_copy = bytes_of("batch-1");  // equal bytes, own buffer
+  const util::Payload b = bytes_of("batch-2");       // same length, larger
+  const util::Payload framed = util::Payload(bytes_of("hdr|batch-2|tail"))
+                                   .slice(4, 7);  // "batch-2" inside a frame
+  ASSERT_FALSE(a.shares_buffer(a_copy));
+  EXPECT_EQ(a, a_copy);
+  EXPECT_NE(a, b);
+  EXPECT_LT(a, b);
+  EXPECT_EQ(framed, b);
+
+  // Locking tie-break: identical values in distinct buffers tie, so the
+  // lowest sender wins; among same-length values the bytewise larger one
+  // wins, wherever its buffer lives.
+  std::map<util::ProcessId, Estimate> ests;
+  ests[3] = {1, a};
+  ests[1] = {1, a_copy};
+  EXPECT_EQ(locking_rule(ests), &ests.at(1));
+  ests[4] = {1, framed};
+  EXPECT_EQ(locking_rule(ests), &ests.at(4));
+  ests[0] = {1, b};
+  EXPECT_EQ(locking_rule(ests), &ests.at(0));
+
+  // The monolithic participant's estimate refresh: a rebuilt estimate with
+  // equal bytes in a fresh buffer is no change (nothing is re-sent); a
+  // same-length estimate with different bytes replaces it.
+  RoundState s = with_estimate("batch-1");
+  s.round = 2;
+  s.estimate_sent.insert(2);
+  EXPECT_FALSE(replace_estimate(s, a_copy));
+  EXPECT_FALSE(s.estimate.shares_buffer(a_copy));
+  EXPECT_EQ(s.estimate_sent.count(2), 1u);
+  EXPECT_TRUE(replace_estimate(s, b));
+  EXPECT_TRUE(s.estimate.shares_buffer(b));
+  EXPECT_EQ(s.estimate_sent.count(2), 0u);
+
+  // State equality (used by tests and state hashing) is by bytes too.
+  RoundState t = s;
+  t.estimate = util::Payload(bytes_of("batch-2"));
+  EXPECT_FALSE(t.estimate.shares_buffer(s.estimate));
+  EXPECT_EQ(t, s);
+}
+
+TEST(CtCore, ProposalEstimateAndDecisionShareOneBuffer) {
+  // A coordinator's proposal is its adopted estimate; a participant's
+  // adopted estimate is the proposal it received. Neither copies.
+  RoundState c;
+  const util::Payload v = bytes_of("value");
+  propose(c, 1, v);
+  EXPECT_TRUE(c.proposals[1].shares_buffer(v));
+  EXPECT_TRUE(c.estimate.shares_buffer(v));
+
+  RoundState p;
+  p.proposals[1] = v;
+  adopt(p, 1);
+  EXPECT_TRUE(p.estimate.shares_buffer(v));
+
+  Instances<RoundState> table;
+  table.at(0);
+  table.decide(0, p.proposals[1]);
+  EXPECT_TRUE(table.decision(0)->shares_buffer(v));
 }
 
 struct Inst : RoundState {

@@ -30,7 +30,7 @@ TEST(ConsensusValidator, DeferredAckBlocksDecisionUntilRevalidate) {
   int validator_calls = 0;
   for (util::ProcessId p = 1; p < 3; ++p) {
     h.node(p).cons.set_proposal_validator(
-        [&released, &validator_calls](std::uint64_t, const util::Bytes&) {
+        [&released, &validator_calls](std::uint64_t, const util::Payload&) {
           ++validator_calls;
           return released;
         });
@@ -63,7 +63,7 @@ TEST(ConsensusValidator, PassingValidatorIsTransparent) {
   NodeHarness h(3, 1, fast_fd());
   for (util::ProcessId p = 0; p < 3; ++p) {
     h.node(p).cons.set_proposal_validator(
-        [](std::uint64_t, const util::Bytes&) { return true; });
+        [](std::uint64_t, const util::Payload&) { return true; });
   }
   h.start();
   for (util::ProcessId p = 0; p < 3; ++p) h.propose_at(milliseconds(5), p, 0, "v");

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,13 @@ constexpr ModuleId kTestModule = 42;
 struct IntBody {
   int value;
 };
+
+/// A wire frame for `module_id` carrying `body`.
+util::Payload frame(ModuleId module_id, const util::Bytes& body) {
+  util::ByteWriter w = Stack::writer(module_id, body.size());
+  w.raw(body);
+  return w.take();
+}
 
 class Harness {
  public:
@@ -63,7 +71,7 @@ TEST(Stack, WireRoundTripAddsAndStripsHeader) {
                          });
   util::Bytes payload = {9, 8, 7};
   h.world->simulator().at(0, [&] {
-    h.stacks[0]->send_wire(1, kTestModule, payload);
+    h.stacks[0]->send_wire(1, kTestModule, frame(kTestModule, payload));
   });
   h.world->run();
   ASSERT_EQ(got.size(), 1u);
@@ -79,9 +87,9 @@ TEST(Stack, WireDemuxSelectsModule) {
   h.stacks[1]->bind_wire(1, [&](util::ProcessId, util::Payload) { ++a; });
   h.stacks[1]->bind_wire(2, [&](util::ProcessId, util::Payload) { ++b; });
   h.world->simulator().at(0, [&] {
-    h.stacks[0]->send_wire(1, 1, util::Bytes{1});
-    h.stacks[0]->send_wire(1, 2, util::Bytes{1});
-    h.stacks[0]->send_wire(1, 2, util::Bytes{1});
+    h.stacks[0]->send_wire(1, 1, frame(1, {1}));
+    h.stacks[0]->send_wire(1, 2, frame(2, {1}));
+    h.stacks[0]->send_wire(1, 2, frame(2, {1}));
   });
   h.world->run();
   EXPECT_EQ(a, 1);
@@ -91,10 +99,18 @@ TEST(Stack, WireDemuxSelectsModule) {
 TEST(Stack, UnknownModuleMessageDropped) {
   Harness h;
   h.world->simulator().at(0, [&] {
-    h.stacks[0]->send_wire(1, 99, util::Bytes{1, 2});
+    h.stacks[0]->send_wire(1, 99, frame(99, {1, 2}));
   });
   h.world->run();  // must not crash
   EXPECT_EQ(h.stacks[1]->counters().wire_deliveries, 0u);
+}
+
+TEST(Stack, RejectsFrameForAnotherModule) {
+  Harness h;
+  EXPECT_THROW(h.stacks[0]->send_wire(1, 1, frame(2, {1})), std::logic_error);
+  EXPECT_THROW(h.stacks[0]->send_wire(1, 1, util::Payload{}),
+               std::logic_error);
+  EXPECT_EQ(h.stacks[0]->counters().wire_sends, 0u);
 }
 
 TEST(Stack, SendToOthersSkipsSelf) {
@@ -107,7 +123,7 @@ TEST(Stack, SendToOthersSkipsSelf) {
                            });
   }
   h.world->simulator().at(0, [&] {
-    h.stacks[2]->send_wire_to_others(kTestModule, util::Bytes{5});
+    h.stacks[2]->send_wire_to_others(kTestModule, frame(kTestModule, {5}));
   });
   h.world->run();
   EXPECT_EQ(received[0], 1);
@@ -120,8 +136,8 @@ TEST(Stack, PerModuleWireCounters) {
   Harness h;
   h.stacks[1]->bind_wire(7, [](util::ProcessId, util::Payload) {});
   h.world->simulator().at(0, [&] {
-    h.stacks[0]->send_wire(1, 7, util::Bytes(10, 0));
-    h.stacks[0]->send_wire(1, 7, util::Bytes(20, 0));
+    h.stacks[0]->send_wire(1, 7, frame(7, util::Bytes(10, 0)));
+    h.stacks[0]->send_wire(1, 7, frame(7, util::Bytes(20, 0)));
   });
   h.world->run();
   EXPECT_EQ(h.stacks[0]->wire_counters(7).messages_sent, 2u);

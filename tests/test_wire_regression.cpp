@@ -9,8 +9,10 @@
 //
 // Also covers the ByteReader bounds-check hardening: every read width
 // throws TruncatedReadError naming the exact offset, requested width, and
-// remaining bytes; and the Stack's malformed-frame policy: a truncated
-// frame for any bound module is dropped and counted, never fatal.
+// remaining bytes; the Stack's malformed-frame policy: a truncated frame
+// for any bound module is dropped and counted, never fatal; and the
+// zero-copy payload path: a retained decision is a view of the proposal
+// frame it arrived in.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -23,12 +25,14 @@
 #include "adb/types.hpp"
 #include "channel/reliable_channel.hpp"
 #include "consensus/chandra_toueg.hpp"
+#include "core/abcast_process.hpp"
 #include "core/sim_group.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "framework/event.hpp"
 #include "framework/stack.hpp"
 #include "monolithic/monolithic_abcast.hpp"
 #include "rbcast/reliable_bcast.hpp"
+#include "runtime/sim_world.hpp"
 #include "util/bytes.hpp"
 #include "util/log.hpp"
 
@@ -539,6 +543,73 @@ void run_truncated_frames(core::StackKind kind,
   EXPECT_TRUE(agreement.ok) << agreement.detail;
 }
 
+/// A `module_id` frame: `tag`, `prefix` zero bytes of fixed fields, then a
+/// one-message batch whose payload length claims 1000 bytes while only 8
+/// remain in the frame. With `batch` false the message stands alone (no
+/// count), as in a diffusion.
+Payload overrun_frame(framework::ModuleId module_id, std::uint8_t tag,
+                      std::size_t prefix, bool batch = true) {
+  util::ByteWriter w = framework::Stack::writer(module_id);
+  w.u8(tag);
+  w.raw(Bytes(prefix, 0));
+  if (batch) w.u32(1);
+  w.u32(1);     // origin
+  w.u64(7);     // seq
+  w.u32(1000);  // payload length past the end of the frame
+  w.raw(Bytes(8, 0x5a));
+  return w.take();
+}
+
+/// A live n=3 group of `kind` is handed `frames` mid-run at every process:
+/// each slice read past the frame must throw DecodeError, be dropped and
+/// counted once in malformed_frames, and leave the group delivering in
+/// total order.
+void run_overrun_frames(core::StackKind kind,
+                        const std::vector<Payload>& frames) {
+  QuietWarnings quiet;
+  core::SimGroupConfig cfg;
+  cfg.n = 3;
+  cfg.stack.kind = kind;
+  core::SimGroup g(cfg);
+  g.start();
+  constexpr int kPerProcess = 10;
+  for (util::ProcessId p = 0; p < g.size(); ++p)
+    for (int i = 0; i < kPerProcess; ++i)
+      g.world().simulator().at(util::milliseconds(1 + p + 10 * i), [&g, p] {
+        g.process(p).abcast(Bytes(16384, 0x5a));
+      });
+  g.world().simulator().at(util::milliseconds(45), [&] {
+    for (util::ProcessId p = 0; p < g.size(); ++p) {
+      framework::Stack& stack = g.process(p).stack();
+      for (const Payload& frame : frames) {
+        const std::uint64_t before = stack.counters().malformed_frames;
+        stack.on_message((p + 1) % g.size(), frame);
+        EXPECT_EQ(stack.counters().malformed_frames, before + 1)
+            << "process " << p << " frame tag " << int(frame[1]);
+      }
+    }
+  });
+  g.run_until(util::seconds(3));
+  for (util::ProcessId p = 0; p < g.size(); ++p) {
+    EXPECT_EQ(g.process(p).stack().counters().malformed_frames, frames.size());
+    EXPECT_EQ(g.deliveries(p).size(), kPerProcess * g.size())
+        << "process " << p;
+  }
+  const core::ContractViolation order = core::check_total_order(g);
+  EXPECT_TRUE(order.ok) << order.detail;
+}
+
+TEST(MalformedFrame, BatchBlobOverrunIsDroppedByBothStacks) {
+  // Modular: kDiffuse (one message) and kPayloadPush (a batch).
+  run_overrun_frames(core::StackKind::kModular,
+                     {overrun_frame(framework::kModAbcast, 1, 0, false),
+                      overrun_frame(framework::kModAbcast, 3, 0)});
+  // Monolithic: kAck (k, round, piggybacked batch) and kForward (a batch).
+  run_overrun_frames(core::StackKind::kMonolithic,
+                     {overrun_frame(framework::kModMonolithic, 2, 12),
+                      overrun_frame(framework::kModMonolithic, 3, 0)});
+}
+
 TEST(MalformedFrame, ModularGroupSurvivesTruncatedFrames) {
   run_truncated_frames(core::StackKind::kModular,
                        {framework::kModAbcast, framework::kModConsensus,
@@ -548,6 +619,99 @@ TEST(MalformedFrame, ModularGroupSurvivesTruncatedFrames) {
 TEST(MalformedFrame, MonolithicGroupSurvivesTruncatedFrames) {
   run_truncated_frames(core::StackKind::kMonolithic,
                        {framework::kModMonolithic, framework::kModFd});
+}
+
+// ---------------------------------------------------------------------------
+// Zero-copy payload path
+// ---------------------------------------------------------------------------
+
+/// Forwards to a process's stack, keeping every frame it receives.
+class FrameRecorder final : public runtime::Protocol {
+ public:
+  explicit FrameRecorder(runtime::Protocol& inner) : inner_(&inner) {}
+  void start() override { inner_->start(); }
+  void on_message(util::ProcessId from, Payload msg) override {
+    frames.push_back(msg);
+    inner_->on_message(from, std::move(msg));
+  }
+  /// The first received frame for `module_id` whose body starts with `tag`.
+  const Payload* find(framework::ModuleId module_id, std::uint8_t tag) const {
+    for (const Payload& f : frames) {
+      if (f.size() > 1 && f[0] == module_id && f[1] == tag) return &f;
+    }
+    return nullptr;
+  }
+  std::vector<Payload> frames;
+
+ private:
+  runtime::Protocol* inner_;
+};
+
+runtime::SimWorldConfig three_processes() {
+  runtime::SimWorldConfig config;
+  config.n = 3;
+  return config;
+}
+
+/// An n=3 group of `kind` on one SimWorld, every process behind a
+/// FrameRecorder. p2 abcasts one 16 KiB message; instance 0 orders it.
+struct RecordedGroup {
+  explicit RecordedGroup(core::StackKind kind) : world(three_processes()) {
+    core::StackOptions options;
+    options.kind = kind;
+    for (util::ProcessId p = 0; p < 3; ++p) {
+      procs.push_back(
+          std::make_unique<core::AbcastProcess>(world.runtime(p), options));
+      recorders.push_back(
+          std::make_unique<FrameRecorder>(procs[p]->protocol()));
+      procs[p]->set_deliver_handler(
+          [this, p](util::ProcessId, std::uint64_t, const Bytes& payload) {
+            delivered[p].push_back(payload);
+          });
+      world.attach(p, recorders[p].get());
+    }
+    world.start();
+    world.simulator().at(util::milliseconds(1), [this] {
+      procs[2]->abcast(sent);
+    });
+    world.run_until(util::seconds(1));
+  }
+
+  runtime::SimWorld world;
+  std::vector<std::unique_ptr<core::AbcastProcess>> procs;
+  std::vector<std::unique_ptr<FrameRecorder>> recorders;
+  std::map<util::ProcessId, std::vector<Bytes>> delivered;
+  const Bytes sent = Bytes(16384, 0x3c);
+};
+
+TEST(ZeroCopy, ModularDecisionSharesTheReceivedProposal) {
+  RecordedGroup g(core::StackKind::kModular);
+  for (util::ProcessId p = 1; p < 3; ++p) {  // p0 coordinates round 1
+    ASSERT_EQ(g.delivered[p], std::vector<Bytes>{g.sent}) << "process " << p;
+    const Payload* proposal = g.recorders[p]->find(framework::kModConsensus,
+                                                   /*kProposal=*/2);
+    const Payload* decision = g.procs[p]->consensus_module()->decision(0);
+    ASSERT_NE(proposal, nullptr);
+    ASSERT_NE(decision, nullptr);
+    EXPECT_TRUE(decision->shares_buffer(*proposal)) << "process " << p;
+    // Held by the recorder, the retained decision, the round's proposal and
+    // the adopted estimate: one buffer, several owners, no copies.
+    EXPECT_GE(proposal->use_count(), 4) << "process " << p;
+  }
+}
+
+TEST(ZeroCopy, MonolithicDecisionSharesTheReceivedProposal) {
+  RecordedGroup g(core::StackKind::kMonolithic);
+  for (util::ProcessId p = 1; p < 3; ++p) {  // p0 coordinates every instance
+    ASSERT_EQ(g.delivered[p], std::vector<Bytes>{g.sent}) << "process " << p;
+    const Payload* proposal = g.recorders[p]->find(framework::kModMonolithic,
+                                                   /*kCombined=*/1);
+    const Payload* decision = g.procs[p]->monolithic()->decision(0);
+    ASSERT_NE(proposal, nullptr);
+    ASSERT_NE(decision, nullptr);
+    EXPECT_TRUE(decision->shares_buffer(*proposal)) << "process " << p;
+    EXPECT_GE(proposal->use_count(), 4) << "process " << p;
+  }
 }
 
 }  // namespace

@@ -61,6 +61,21 @@ TEST(WirecheckFixtures, AsymmetriesDetected) {
   EXPECT_EQ(r.violations(), 2u);
 }
 
+TEST(WirecheckFixtures, TrailingValueMatchesOnlyAfterEqualPrefix) {
+  // A trailing encode_batch pairs with trailing bytes read as a value (the
+  // clean fixture's kBatch), but only when every op before it matches:
+  // u32 vs u64 in front of it still flags, naming both sequences. The
+  // slice reads in the hot file are not copies.
+  Report r = run_fixture("tail");
+  ASSERT_EQ(count_rule(r, "wire.asym"), 1u)
+      << analyzer::to_json(r, "wirecheck", "tail");
+  EXPECT_EQ(r.violations(), 1u);
+  const Diagnostic& d = r.diagnostics.front();
+  EXPECT_NE(d.message.find("[u32 call:batch]"), std::string::npos)
+      << d.message;
+  EXPECT_NE(d.message.find("[u64 rest]"), std::string::npos) << d.message;
+}
+
 TEST(WirecheckFixtures, AsymMessagesNameBothSequences) {
   Report r = run_fixture("asym");
   bool found = false;
@@ -89,11 +104,13 @@ TEST(WirecheckFixtures, HotRulesFireOnlyInHotFiles) {
   Report r = run_fixture("hot");
   EXPECT_EQ(count_rule(r, "hot.alloc"), 2u);     // new + make_shared
   EXPECT_EQ(count_rule(r, "hot.function"), 1u);  // std::function member
-  EXPECT_EQ(count_rule(r, "hot.copy"), 1u);      // to_bytes()
+  // to_bytes(), and the owned-copy decodes blob(), raw(n) and the
+  // rest().begin() iterator copy; slice reads and writer calls are fine.
+  EXPECT_EQ(count_rule(r, "hot.copy"), 4u);
   // slow.hpp has identical content but is not manifest-hot.
   for (const Diagnostic& d : r.diagnostics)
     EXPECT_EQ(d.file, "fast.hpp") << d.rule << " fired in " << d.file;
-  EXPECT_EQ(r.violations(), 4u) << analyzer::to_json(r, "wirecheck", "hot");
+  EXPECT_EQ(r.violations(), 7u) << analyzer::to_json(r, "wirecheck", "hot");
 }
 
 TEST(WirecheckFixtures, JustifiedSuppressionsHonored) {

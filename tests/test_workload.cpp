@@ -112,7 +112,8 @@ TEST(AdbTypes, MessageRoundTrip) {
   util::ByteWriter w;
   encode_message(w, m);
   EXPECT_EQ(w.size(), encoded_size(m));
-  util::ByteReader r(w.bytes());
+  const util::Payload frame(w.take());
+  util::ByteReader r(frame);
   AppMessage back = decode_message(r);
   EXPECT_EQ(back.id, m.id);
   EXPECT_EQ(back.payload, m.payload);

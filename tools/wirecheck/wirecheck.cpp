@@ -125,13 +125,16 @@ std::string map_writer_op(const std::string& m) {
   return "";
 }
 
-/// Reader method -> normalized op ("" = not a wire op, skip).
+/// Reader method -> normalized op ("" = not a wire op, skip). The slice
+/// reads (blob_payload, rest_payload) read the same bytes as their copying
+/// forms.
 std::string map_reader_op(const std::string& m) {
   if (m == "u8" || m == "u16" || m == "u32" || m == "u64" || m == "f64" ||
       m == "varint" || m == "blob" || m == "str")
     return m;
   if (m == "i64") return "u64";
-  if (m == "rest" || m == "raw") return "rest";
+  if (m == "blob_payload") return "blob";
+  if (m == "rest" || m == "raw" || m == "rest_payload") return "rest";
   return "";
 }
 
@@ -161,6 +164,24 @@ void normalize_ops(std::vector<std::string>& ops) {
     out.push_back(std::move(op));
   }
   ops = std::move(out);
+}
+
+/// Encoder and decoder sequences agree when equal, or when only their last
+/// ops differ and that pair is a helper-coded structure (call:X) against
+/// opaque trailing bytes (rest): a decoder may keep a trailing
+/// encode_X(w, ...) structure undecoded as a value (decoding it later), and
+/// raw trailing bytes already stand for whatever the other side wrote.
+bool ops_match(const std::vector<std::string>& a,
+               const std::vector<std::string>& b) {
+  if (a == b) return true;
+  if (a.empty() || a.size() != b.size() ||
+      !std::equal(a.begin(), a.end() - 1, b.begin()))
+    return false;
+  const auto is_call = [](const std::string& op) {
+    return op.rfind("call:", 0) == 0;
+  };
+  return (is_call(a.back()) && b.back() == "rest") ||
+         (a.back() == "rest" && is_call(b.back()));
 }
 
 std::string join_ops(const std::vector<std::string>& ops) {
@@ -586,6 +607,7 @@ struct FileWork {
 void check_hot_rules(FileWork& wk, const std::vector<Token>& toks) {
   static const std::set<std::string> kAllocCalls = {"malloc", "calloc",
                                                     "realloc"};
+  const std::set<std::string> readers = var_names(toks, "ByteReader");
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Token& tk = toks[i];
     if (!tk.ident) continue;
@@ -606,6 +628,25 @@ void check_hot_rules(FileWork& wk, const std::vector<Token>& toks) {
       wk.flag(tk.line, "hot.copy",
               s + "() deep-copies the payload in a hot-path file — pass the "
                   "ref-counted Payload view instead");
+    } else if (readers.count(s) && tok_is(toks, i + 1, ".") &&
+               i + 4 < toks.size() && tok_is(toks, i + 3, "(")) {
+      // Owned-copy decodes: r.blob(), r.raw(n), Bytes(r.rest().begin(), …).
+      const std::string& m = toks[i + 2].text;
+      const bool no_args = tok_is(toks, i + 4, ")");
+      if (m == "blob" && no_args) {
+        wk.flag(tk.line, "hot.copy",
+                "blob() decodes into an owned copy in a hot-path file — use "
+                "blob_payload() for a slice of the frame");
+      } else if (m == "raw") {
+        wk.flag(tk.line, "hot.copy",
+                "raw(n) decodes into an owned copy in a hot-path file — "
+                "slice the frame instead");
+      } else if (m == "rest" && no_args && tok_is(toks, i + 5, ".") &&
+                 tok_is(toks, i + 6, "begin")) {
+        wk.flag(tk.line, "hot.copy",
+                "rest().begin() copies the unread bytes in a hot-path file — "
+                "use rest_payload() for a slice of the frame");
+      }
     }
   }
 }
@@ -643,7 +684,7 @@ void check_tag_contracts(FileWork& wk, const std::vector<Token>& toks,
     if (!has_enc || !has_dec) continue;  // unused constant: not a wire tag
     const OpSeq& d0 = di->second.front();
     for (const OpSeq& e : ei->second) {
-      if (e.ops != d0.ops) {
+      if (!ops_match(e.ops, d0.ops)) {
         wk.flag(e.line, "wire.asym",
                 "message kind '" + tag + "': encoder writes " +
                     join_ops(e.ops) + " but decoder (line " +
@@ -652,7 +693,8 @@ void check_tag_contracts(FileWork& wk, const std::vector<Token>& toks,
     }
     for (std::size_t k = 1; k < di->second.size(); ++k) {
       const OpSeq& d = di->second[k];
-      if (d.ops != d0.ops && d.ops != ei->second.front().ops) {
+      if (!ops_match(d.ops, d0.ops) &&
+          !ops_match(d.ops, ei->second.front().ops)) {
         wk.flag(d.line, "wire.asym",
                 "message kind '" + tag + "': decoder reads " +
                     join_ops(d.ops) + " but encoder (line " +
@@ -690,7 +732,7 @@ void check_formats(FileWork& wk, const std::vector<Token>& toks,
     collect_reader_ops(toks, db, de, readers, dec.ops);
     normalize_ops(enc.ops);
     normalize_ops(dec.ops);
-    if (enc.ops != dec.ops) {
+    if (!ops_match(enc.ops, dec.ops)) {
       wk.flag(eline, "wire.asym",
               "format '" + f.name + "': encoder '" + f.encoder + "' writes " +
                   join_ops(enc.ops) + " but decoder '" + f.decoder +

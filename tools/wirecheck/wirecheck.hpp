@@ -10,9 +10,11 @@
 //     demux constant, or a manifest-declared untagged [format] pair), the
 //     Writer call sequence in the encoder must match the Reader call
 //     sequence in the decoder in count, width, and order. Sequences are
-//     normalized (i64 ≡ u64, raw/rest/position-slices ≡ trailing bytes,
-//     u32-length + slice ≡ blob, encode_X/decode_X helper calls match by
-//     name) so zero-copy decoders compare equal to their copying encoders.
+//     normalized (i64 ≡ u64, raw/rest/rest_payload/position-slices ≡
+//     trailing bytes, u32-length + slice ≡ blob_payload ≡ blob,
+//     encode_X/decode_X helper calls match by name, and a trailing helper
+//     call may pair with trailing bytes kept as an undecoded value) so
+//     zero-copy decoders compare equal to their copying encoders.
 //   * wire.unhandled / wire.dead — every wire tag that is sent must have a
 //     decoder branch and every demux module id / local event type that is
 //     sent or raised must have a bind_wire/bind handler somewhere in the
@@ -20,10 +22,13 @@
 //     ever sends are flagged as dead). Application-facing events the tree
 //     intentionally leaves to harness code are exempted in the manifest.
 //   * hot.alloc / hot.function / hot.copy — files marked hot in the
-//     manifest (event queue, network, stack dispatch, channel) must not
-//     heap-allocate per message (new/malloc/make_shared/make_unique),
-//     construct std::function, or deep-copy payloads (to_bytes/detach);
-//     each would undo PR 1's zero-copy fan-out work.
+//     manifest (event queue, network, stack dispatch, channel, and every
+//     layer an application payload crosses: adb, abcast, monolithic,
+//     consensus, ct, rbcast) must not heap-allocate per message
+//     (new/malloc/make_shared/make_unique), construct std::function, or
+//     deep-copy payloads (to_bytes/detach, and owned-copy decodes:
+//     ByteReader blob(), raw(n), rest().begin() iterator copies); each
+//     would undo the zero-copy payload path.
 //
 // Intentional exceptions use the shared suppression syntax
 //   // wirecheck:allow(<rule>): <justification>
@@ -48,7 +53,8 @@ namespace wirecheck {
 // wire.dead             tag/event/module id handled but never sent/raised
 // hot.alloc             per-message heap allocation in a hot file
 // hot.function          std::function construction in a hot file
-// hot.copy              payload deep-copy (to_bytes/detach) in a hot file
+// hot.copy              payload deep-copy (to_bytes/detach, reader
+//                       blob()/raw(n)/rest().begin()) in a hot file
 // meta.bad-suppression  wirecheck:allow with missing justification or
 //                       unknown rule
 // meta.unused-suppression  wirecheck:allow matching no diagnostic
