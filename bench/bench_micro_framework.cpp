@@ -71,7 +71,7 @@ void BM_BatchEncodeDecode(benchmark::State& state) {
   std::size_t sink = 0;
   for (auto _ : state) {
     auto encoded = adb::encode_batch(batch);
-    auto decoded = adb::decode_batch(encoded);
+    auto decoded = adb::decode_batch(encoded, 3);
     sink += decoded.size();
   }
   benchmark::DoNotOptimize(sink);

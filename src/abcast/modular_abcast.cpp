@@ -80,7 +80,7 @@ void ModularAbcast::on_wire(util::ProcessId from, util::Payload msg) {
   const std::uint8_t kind = r.u8();
   switch (kind) {
     case kDiffuse: {
-      AppMessage m = decode_message(r);
+      AppMessage m = decode_message(r, stack_->group_size());
       if (config_.indirect_consensus) {
         store_payload(m);
         on_new_payloads();
@@ -92,7 +92,7 @@ void ModularAbcast::on_wire(util::ProcessId from, util::Payload msg) {
     case kPayloadPull: {
       // Serve whatever requested payloads we hold.
       std::vector<AppMessage> have;
-      for (const MsgId& id : decode_id_batch(r)) {
+      for (const MsgId& id : decode_id_batch(r, stack_->group_size())) {
         auto it = payload_store_.find(id);
         if (it != payload_store_.end()) {
           have.push_back(AppMessage{id, it->second});
@@ -108,7 +108,7 @@ void ModularAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       break;
     }
     case kPayloadPush: {
-      for (AppMessage& m : decode_batch(r)) {
+      for (AppMessage& m : decode_batch(r, stack_->group_size())) {
         store_payload(m);
         // A pushed payload is also a (re)diffusion: pool it if unseen.
         if (seen_.mark(m.id.origin, m.id.seq)) add_pending(std::move(m));
@@ -184,7 +184,7 @@ void ModularAbcast::apply_ready_decisions() {
       // Resolve ids to payloads; block (and pull) if any is missing. The
       // decision stays buffered so ordering is preserved.
       std::vector<MsgId> missing;
-      for (const MsgId& id : decode_id_batch(*value)) {
+      for (const MsgId& id : decode_id_batch(*value, stack_->group_size())) {
         if (flow_.delivered(id)) continue;  // dup across k
         auto pit = payload_store_.find(id);
         if (pit == payload_store_.end()) {
@@ -199,7 +199,7 @@ void ModularAbcast::apply_ready_decisions() {
         break;
       }
     } else {
-      batch = decode_batch(*value);
+      batch = decode_batch(*value, stack_->group_size());
     }
     flow_.apply_next(std::move(batch), [this](const AppMessage& m) {
       seen_.mark(m.id.origin, m.id.seq);
@@ -237,7 +237,7 @@ bool ModularAbcast::validate_value(std::uint64_t k,
                                    const util::Payload& value) {
   if (!config_.indirect_consensus) return true;
   std::vector<MsgId> missing;
-  for (const MsgId& id : decode_id_batch(value)) {
+  for (const MsgId& id : decode_id_batch(value, stack_->group_size())) {
     if (!payload_available(id)) missing.push_back(id);
   }
   if (missing.empty()) return true;

@@ -9,90 +9,142 @@ namespace modcast::adb {
 // ---------------------------------------------------------------------------
 
 bool Batcher::add(AppMessage m, util::TimePoint now) {
-  if (!ids_.insert(m.id).second) return false;
-  fifo_.push_back(Entry{std::move(m), now});
+  const MsgId id = m.id;
+  const std::uint64_t prev = index_.find(id.origin, id.seq);
+  // An indexed entry is live, or dead but still marked: the id stays in
+  // flight until that instance is applied, and so does a re-added copy.
+  std::uint64_t k = kNone;
+  if (prev != kNone) {
+    const Entry& old = at(prev);
+    if (old.live) return false;
+    k = old.in_flight;
+  }
+  const std::uint64_t position = base_ + fifo_.size();
+  fifo_.push_back(Entry{std::move(m), now, true, kNone, kNone});
+  index_.set(id.origin, id.seq, position);
+  ++live_;
+  if (k != kNone) mark(marks_for(k), position);
   return true;
 }
 
-std::size_t Batcher::eligible() const {
-  std::size_t live_proposed = 0;
-  for (const MsgId& id : proposed_) {
-    if (ids_.count(id) != 0) ++live_proposed;
+void Batcher::mark_ordered(const MsgId& id) {
+  const std::uint64_t position = index_.find(id.origin, id.seq);
+  if (position == kNone) return;
+  Entry& e = at(position);
+  if (!e.live) return;
+  e.live = false;
+  e.msg.payload = util::Payload();  // a dead entry never pins its frame
+  --live_;
+  if (e.in_flight != kNone) {
+    --live_in_flight_;  // on_decided() unindexes it
+  } else {
+    index_.erase(id.origin, id.seq);
+    drop_dead_front();
   }
-  return ids_.size() - live_proposed;
 }
 
 bool Batcher::ready(util::TimePoint now) const {
+  if (eligible() == 0) return false;
+  if (config_.batch_delay == 0) return true;  // eager mode
   std::size_t count = 0;
   std::size_t bytes = 0;
-  bool have_oldest = false;
   util::TimePoint oldest = 0;
-  for (const Entry& e : fifo_) {
-    if (ids_.count(e.msg.id) == 0 || in_flight(e.msg.id)) continue;
-    if (!have_oldest) {
-      have_oldest = true;
-      oldest = e.added_at;
-    }
-    if (config_.batch_delay == 0) return true;  // eager mode
-    ++count;
+  for (std::size_t i = head_; i < fifo_.size(); ++i) {
+    const Entry& e = fifo_[i];
+    if (!eligible(e)) continue;
+    if (count++ == 0) oldest = e.added_at;
     bytes += e.msg.payload.size();
     if (count >= config_.max_batch) return true;
     if (config_.batch_bytes > 0 && bytes >= config_.batch_bytes) return true;
   }
-  if (!have_oldest) return false;
   return now - oldest >= config_.batch_delay;
 }
 
 util::TimePoint Batcher::deadline() const {
-  for (const Entry& e : fifo_) {
-    if (ids_.count(e.msg.id) == 0 || in_flight(e.msg.id)) continue;
-    return e.added_at + config_.batch_delay;
+  for (std::size_t i = head_; i < fifo_.size(); ++i) {
+    if (eligible(fifo_[i])) return fifo_[i].added_at + config_.batch_delay;
   }
   return 0;
 }
 
-std::vector<AppMessage> Batcher::cut(std::uint64_t k) {
-  std::vector<AppMessage> batch;
+void Batcher::cut(std::uint64_t k, std::vector<AppMessage>& batch) {
+  batch.clear();
+  batch.reserve(std::min(config_.max_batch, eligible()));
   std::size_t batch_bytes = 0;
-  std::deque<Entry> keep;
-  while (!fifo_.empty()) {
-    Entry& e = fifo_.front();
-    if (ids_.count(e.msg.id) != 0) {
-      const bool room =
-          batch.size() < config_.max_batch &&
-          (config_.batch_bytes == 0 || batch_bytes < config_.batch_bytes);
-      if (room && !in_flight(e.msg.id)) {
-        batch.push_back(e.msg);
-        batch_bytes += e.msg.payload.size();
-      }
-      keep.push_back(std::move(e));
-    }
-    fifo_.pop_front();
+  Marks* marks = nullptr;
+  for (std::size_t i = head_; i < fifo_.size(); ++i) {
+    const bool room =
+        batch.size() < config_.max_batch &&
+        (config_.batch_bytes == 0 || batch_bytes < config_.batch_bytes);
+    if (!room) break;
+    if (!eligible(fifo_[i])) continue;
+    batch.push_back(fifo_[i].msg);
+    batch_bytes += fifo_[i].msg.payload.size();
+    if (marks == nullptr) marks = &marks_for(k);
+    mark(*marks, base_ + i);
   }
-  fifo_ = std::move(keep);
-  if (!batch.empty()) {
-    auto& marks = in_flight_[k];
-    for (const AppMessage& m : batch) {
-      proposed_.insert(m.id);
-      marks.push_back(m.id);
-    }
+}
+
+Batcher::Marks& Batcher::marks_for(std::uint64_t k) {
+  for (Marks& m : marks_) {
+    if (m.k == k) return m;
   }
-  return batch;
+  return marks_.emplace_back(Marks{k, kNone, kNone});
+}
+
+void Batcher::mark(Marks& marks, std::uint64_t position) {
+  Entry& e = at(position);
+  e.in_flight = marks.k;
+  if (e.live) ++live_in_flight_;
+  if (marks.first == kNone) {
+    marks.first = position;
+  } else {
+    at(marks.last).next_marked = position;
+  }
+  marks.last = position;
 }
 
 void Batcher::on_decided(std::uint64_t k) {
-  auto it = in_flight_.find(k);
-  if (it == in_flight_.end()) return;
-  for (const MsgId& id : it->second) proposed_.erase(id);
-  in_flight_.erase(it);
+  auto it = std::find_if(marks_.begin(), marks_.end(),
+                         [k](const Marks& m) { return m.k == k; });
+  if (it == marks_.end()) return;
+  for (std::uint64_t p = it->first; p != kNone;) {
+    Entry& e = at(p);
+    const std::uint64_t next = e.next_marked;
+    e.in_flight = kNone;
+    e.next_marked = kNone;
+    if (e.live) {
+      --live_in_flight_;
+    } else if (index_.find(e.msg.id.origin, e.msg.id.seq) == p) {
+      index_.erase(e.msg.id.origin, e.msg.id.seq);
+    }
+    p = next;
+  }
+  marks_.erase(it);
+  drop_dead_front();
+}
+
+void Batcher::drop_dead_front() {
+  while (head_ < fifo_.size() && !fifo_[head_].live &&
+         fifo_[head_].in_flight == kNone) {
+    ++head_;
+  }
+  if (head_ == fifo_.size()) {
+    base_ += head_;
+    head_ = 0;
+    fifo_.clear();
+  } else if (head_ >= kCompactAt && 2 * head_ >= fifo_.size()) {
+    fifo_.erase(fifo_.begin(),
+                fifo_.begin() + static_cast<std::ptrdiff_t>(head_));
+    base_ += head_;
+    head_ = 0;
+  }
 }
 
 std::vector<AppMessage> Batcher::peek(std::size_t cap) const {
   std::vector<AppMessage> batch;
-  for (const Entry& e : fifo_) {
-    if (ids_.count(e.msg.id) == 0) continue;
-    if (batch.size() >= cap) break;
-    batch.push_back(e.msg);
+  for (std::size_t i = head_; i < fifo_.size() && batch.size() < cap; ++i) {
+    if (fifo_[i].live) batch.push_back(fifo_[i].msg);
   }
   return batch;
 }
@@ -125,7 +177,8 @@ bool Flow::pool_add(AppMessage m, util::TimePoint now) {
 }
 
 std::vector<AppMessage> Flow::cut() {
-  std::vector<AppMessage> batch = pool_.cut(next_instance_);
+  std::vector<AppMessage> batch;
+  pool_.cut(next_instance_, batch);
   if (batch.empty()) return batch;
   ++next_instance_;
   stats_.max_inflight_instances = std::max<std::uint64_t>(

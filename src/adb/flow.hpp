@@ -25,7 +25,6 @@
 #include <deque>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "adb/types.hpp"
@@ -81,27 +80,35 @@ struct FlowStats {
 ///
 ///   * entries stay in the pool until marked ordered (delivery), even while
 ///     riding an in-flight proposal;
-///   * removal is lazy: mark_ordered() drops the id, the dead entry is
-///     compacted away by the next cut();
+///   * removal is lazy: mark_ordered() makes the entry dead and drops its
+///     payload; dead entries leave from the front of the arrival order once
+///     no instance marks them;
 ///   * iteration (for re-diffusion / recovery estimates) walks live entries
 ///     in arrival order.
+///
+/// Every per-message step is O(1) and, once the pool's buffers have grown
+/// to the working set, allocation-free: ids find their entry through a
+/// per-origin seq-indexed table, live and in-flight entries are counted,
+/// and each instance's marks are a chain through its entries.
 class Batcher {
  public:
   explicit Batcher(const FlowConfig& config) : config_(config) {}
 
   /// Adds a message to the pool. Returns false on duplicate (id already
-  /// live). `now` timestamps the entry for the δ-time trigger.
+  /// live). `now` timestamps the entry for the δ-time trigger. An id
+  /// re-added after it was ordered is in flight while the instance that
+  /// carried it is undecided.
   bool add(AppMessage m, util::TimePoint now);
 
-  /// Marks a message ordered (delivered): it stops being live. The entry is
-  /// compacted away lazily by the next cut().
-  void mark_ordered(const MsgId& id) { ids_.erase(id); }
+  /// Marks a message ordered (delivered): it stops being live and its
+  /// payload is released at once.
+  void mark_ordered(const MsgId& id);
 
   /// No live entry, counting those riding an in-flight proposal.
-  bool empty() const { return ids_.empty(); }
+  bool empty() const { return live_ == 0; }
   /// Live entries NOT in any in-flight proposal — what the next cut() can
   /// draw from.
-  std::size_t eligible() const;
+  std::size_t eligible() const { return live_ - live_in_flight_; }
 
   /// True when the eligible pool should be proposed now: it is non-empty
   /// AND (batch_delay is 0, or the count/byte cap is reached, or the oldest
@@ -111,10 +118,10 @@ class Batcher {
   /// entry. Meaningful only when eligible() > 0 and !ready().
   util::TimePoint deadline() const;
 
-  /// Cuts a batch for instance k: up to the caps of eligible messages in
-  /// arrival order, marked in flight under k so later cuts skip them.
-  /// Compacts dead entries as it walks.
-  std::vector<AppMessage> cut(std::uint64_t k);
+  /// Cuts a batch for instance k into `batch` (cleared first, its capacity
+  /// reused): up to the caps of eligible messages in arrival order, marked
+  /// in flight under k so later cuts skip them.
+  void cut(std::uint64_t k, std::vector<AppMessage>& batch);
 
   /// Instance k reached a decision that was applied: its in-flight marks
   /// drop, so any of its messages the decision did NOT order become
@@ -124,29 +131,55 @@ class Batcher {
   /// Live entries in arrival order (re-diffusion, recovery estimates).
   template <typename Fn>
   void for_each_live(Fn&& fn) const {
-    for (const Entry& e : fifo_) {
-      if (ids_.count(e.msg.id) != 0) fn(e.msg);
+    for (std::size_t i = head_; i < fifo_.size(); ++i) {
+      if (fifo_[i].live) fn(fifo_[i].msg);
     }
   }
 
   /// Up to `cap` live entries in arrival order, in-flight ones included —
   /// recovery proposals must cover everything we hold (duplicates across
-  /// instances are filtered at delivery). Does not compact or mark.
+  /// instances are filtered at delivery). Marks nothing.
   std::vector<AppMessage> peek(std::size_t cap) const;
 
  private:
+  static constexpr std::uint64_t kNone = util::SeqIndex::kNone;
+  /// A released prefix this long, and at least half of fifo_, is erased.
+  static constexpr std::size_t kCompactAt = 16;
+
+  /// A pooled message. Its position (arrival number) never changes: the
+  /// entry lives at fifo_[position - base_].
   struct Entry {
-    AppMessage msg;
+    AppMessage msg;  ///< payload released once ordered
     util::TimePoint added_at = 0;
+    bool live = false;                  ///< not yet ordered
+    std::uint64_t in_flight = kNone;    ///< instance whose proposal has it
+    std::uint64_t next_marked = kNone;  ///< next position in that chain
+  };
+  /// One undecided instance's marks: positions first → … → last, linked by
+  /// Entry::next_marked.
+  struct Marks {
+    std::uint64_t k = 0;
+    std::uint64_t first = kNone;
+    std::uint64_t last = kNone;
   };
 
-  bool in_flight(const MsgId& id) const { return proposed_.count(id) != 0; }
+  Entry& at(std::uint64_t position) { return fifo_[position - base_]; }
+  bool eligible(const Entry& e) const { return e.live && e.in_flight == kNone; }
+  /// Instance k's marks, created empty on first use.
+  Marks& marks_for(std::uint64_t k);
+  /// Puts the entry at `position` on the chain of `marks`.
+  void mark(Marks& marks, std::uint64_t position);
+  /// Releases dead, unmarked entries at the front of the arrival order.
+  void drop_dead_front();
 
   FlowConfig config_;
-  std::deque<Entry> fifo_;  ///< arrival order; may hold dead entries
-  std::set<MsgId> ids_;     ///< live ids
-  std::set<MsgId> proposed_;  ///< ids riding an undecided proposal
-  std::map<std::uint64_t, std::vector<MsgId>> in_flight_;  ///< per instance
+  std::vector<Entry> fifo_;   ///< arrival order; [0, head_) released
+  std::size_t head_ = 0;
+  std::uint64_t base_ = 0;    ///< position of fifo_[0]
+  util::SeqIndex index_;      ///< id -> position of its newest entry
+  std::vector<Marks> marks_;  ///< undecided instances with marks
+  std::size_t live_ = 0;
+  std::size_t live_in_flight_ = 0;
 };
 
 class Flow {

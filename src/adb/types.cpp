@@ -2,6 +2,20 @@
 
 namespace modcast::adb {
 
+namespace {
+
+/// Origins index dense per-origin tables (the pool index, delivery
+/// trackers): one outside the group is malformed, never a size.
+void check_origin(util::ProcessId origin, std::size_t group_size) {
+  if (origin >= group_size) {
+    throw util::DecodeError("adb: origin " + std::to_string(origin) +
+                            " outside a group of " +
+                            std::to_string(group_size));
+  }
+}
+
+}  // namespace
+
 // Each writer/reader codec is the wire format and comes before its value
 // form, which wraps it: wirecheck pairs the first definition of a name.
 
@@ -11,9 +25,10 @@ void encode_message(util::ByteWriter& w, const AppMessage& m) {
   w.blob(m.payload);
 }
 
-AppMessage decode_message(util::ByteReader& r) {
+AppMessage decode_message(util::ByteReader& r, std::size_t group_size) {
   AppMessage m;
   m.id.origin = r.u32();
+  check_origin(m.id.origin, group_size);
   m.id.seq = r.u64();
   m.payload = r.blob_payload();
   return m;
@@ -24,7 +39,8 @@ void encode_batch(util::ByteWriter& w, const std::vector<AppMessage>& batch) {
   for (const auto& m : batch) encode_message(w, m);
 }
 
-std::vector<AppMessage> decode_batch(util::ByteReader& r) {
+std::vector<AppMessage> decode_batch(util::ByteReader& r,
+                                     std::size_t group_size) {
   const std::uint32_t count = r.u32();
   // Each message needs at least 16 bytes (id + empty payload's length
   // prefix): reject counts a corrupt buffer cannot possibly hold before
@@ -36,7 +52,7 @@ std::vector<AppMessage> decode_batch(util::ByteReader& r) {
   std::vector<AppMessage> batch;
   batch.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    batch.push_back(decode_message(r));
+    batch.push_back(decode_message(r, group_size));
   }
   return batch;
 }
@@ -47,9 +63,10 @@ util::Bytes encode_batch(const std::vector<AppMessage>& batch) {
   return w.take();
 }
 
-std::vector<AppMessage> decode_batch(const util::Payload& value) {
+std::vector<AppMessage> decode_batch(const util::Payload& value,
+                                     std::size_t group_size) {
   util::ByteReader r(value);
-  return decode_batch(r);
+  return decode_batch(r, group_size);
 }
 
 std::size_t encoded_size(const AppMessage& m) {
@@ -76,7 +93,8 @@ void encode_id_batch(util::ByteWriter& w, const std::vector<MsgId>& ids) {
   }
 }
 
-std::vector<MsgId> decode_id_batch(util::ByteReader& r) {
+std::vector<MsgId> decode_id_batch(util::ByteReader& r,
+                                   std::size_t group_size) {
   const std::uint32_t count = r.u32();
   if (count > r.remaining() / 12) {
     throw util::DecodeError("decode_id_batch: implausible count " +
@@ -87,6 +105,7 @@ std::vector<MsgId> decode_id_batch(util::ByteReader& r) {
   for (std::uint32_t i = 0; i < count; ++i) {
     MsgId id;
     id.origin = r.u32();
+    check_origin(id.origin, group_size);
     id.seq = r.u64();
     ids.push_back(id);
   }
@@ -99,9 +118,10 @@ util::Bytes encode_id_batch(const std::vector<MsgId>& ids) {
   return w.take();
 }
 
-std::vector<MsgId> decode_id_batch(const util::Payload& value) {
+std::vector<MsgId> decode_id_batch(const util::Payload& value,
+                                   std::size_t group_size) {
   util::ByteReader r(value);
-  return decode_id_batch(r);
+  return decode_id_batch(r, group_size);
 }
 
 }  // namespace modcast::adb

@@ -44,8 +44,9 @@ using AdmitFn = std::function<void(std::uint64_t)>;
 
 /// Serializes one message (id + length-prefixed payload).
 void encode_message(util::ByteWriter& w, const AppMessage& m);
-/// Decodes one message; its payload is a slice of r's Payload.
-AppMessage decode_message(util::ByteReader& r);
+/// Decodes one message; its payload is a slice of r's Payload. Every
+/// decoder below throws util::DecodeError for an origin >= group_size.
+AppMessage decode_message(util::ByteReader& r, std::size_t group_size);
 
 /// Serializes a batch: count followed by messages. Batches are the values
 /// consensus agrees on; they carry full payloads so a process that missed
@@ -53,11 +54,13 @@ AppMessage decode_message(util::ByteReader& r);
 /// the caller's writer puts the batch straight into an outgoing frame.
 void encode_batch(util::ByteWriter& w, const std::vector<AppMessage>& batch);
 /// Decodes a batch at r's position; payloads are slices of r's Payload.
-std::vector<AppMessage> decode_batch(util::ByteReader& r);
+std::vector<AppMessage> decode_batch(util::ByteReader& r,
+                                     std::size_t group_size);
 /// A batch as a standalone value (a consensus proposal or estimate).
 util::Bytes encode_batch(const std::vector<AppMessage>& batch);
 /// Decodes a whole value; the messages share its buffer.
-std::vector<AppMessage> decode_batch(const util::Payload& value);
+std::vector<AppMessage> decode_batch(const util::Payload& value,
+                                     std::size_t group_size);
 
 /// Size in bytes encode_message will produce (for size accounting).
 std::size_t encoded_size(const AppMessage& m);
@@ -71,8 +74,10 @@ std::size_t payload_bytes(const std::vector<AppMessage>& batch);
 /// Ekwall & Schiper DSN'06): consensus agrees on 12-byte message ids while
 /// payloads travel only via diffusion.
 void encode_id_batch(util::ByteWriter& w, const std::vector<MsgId>& ids);
-std::vector<MsgId> decode_id_batch(util::ByteReader& r);
+std::vector<MsgId> decode_id_batch(util::ByteReader& r,
+                                   std::size_t group_size);
 util::Bytes encode_id_batch(const std::vector<MsgId>& ids);
-std::vector<MsgId> decode_id_batch(const util::Payload& value);
+std::vector<MsgId> decode_id_batch(const util::Payload& value,
+                                   std::size_t group_size);
 
 }  // namespace modcast::adb

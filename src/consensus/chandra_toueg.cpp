@@ -51,10 +51,11 @@ ChandraTouegConsensus::Instance& ChandraTouegConsensus::instance(
     std::uint64_t k) {
   bool created = false;
   Instance& inst = instances_.at(k, &created);
-  if (created) {
-    std::uint64_t open = 0;
-    for (const auto& [kk, other] : instances_.all()) open += !other.decided;
-    stats_.max_open_instances = std::max(stats_.max_open_instances, open);
+  // One touched after its decision arrived is born decided: not open.
+  if (created && !inst.decided) {
+    ++open_instances_;
+    stats_.max_open_instances =
+        std::max(stats_.max_open_instances, open_instances_);
   }
   return inst;
 }
@@ -144,16 +145,17 @@ void ChandraTouegConsensus::do_propose(Instance& inst, std::uint32_t round,
   // keeping app_bytes inherits that for the proposal fan-out. Recovery-round
   // proposals arrive with no enclosing scope and stay at app_bytes 0.
   framework::TraceScope scope(*stack_, inst.k, framework::TraceScope::kKeepAppBytes);
-  ct::propose(inst, round, std::move(value));
-  const util::Payload& proposal = inst.proposals[round];
-
   util::ByteWriter w = framework::Stack::writer(framework::kModConsensus,
-                                                proposal.size() + 32);
+                                                value.size() + 32);
   w.u8(kProposal);
   w.u64(inst.k);
   w.u32(round);
-  w.blob(proposal);
-  stack_->send_wire_to_others(framework::kModConsensus, w.take());
+  w.blob(value);
+  const util::Payload frame = w.take();
+  // The proposal (and the decision it becomes) is a view of the frame the
+  // peers receive, so one buffer per instance is retained group-wide.
+  ct::propose(inst, round, frame.slice(frame.size() - value.size()));
+  stack_->send_wire_to_others(framework::kModConsensus, frame);
 
   if (ct::maybe_decide_as_coordinator(inst, group(), round)) {
     broadcast_decision(inst, round);
@@ -286,6 +288,7 @@ void ChandraTouegConsensus::decide_local(std::uint64_t k, util::Payload value) {
   Instance* inst = instances_.decide(k, value);
   ++stats_.decided;
   if (inst != nullptr) {
+    --open_instances_;  // undecided until now: decided(k) was false
     stats_.max_round = std::max(stats_.max_round, inst->round);
     if (inst->round > 1) ++stats_.late_decisions;
     if (inst->nudge_timer != runtime::kInvalidTimer) {

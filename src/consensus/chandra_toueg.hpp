@@ -155,6 +155,7 @@ class ChandraTouegConsensus final : public framework::Module {
   Validator validator_;
   framework::Stack* stack_ = nullptr;
   ct::Instances<Instance> instances_;
+  std::uint64_t open_instances_ = 0;  ///< created undecided, not yet decided
   ConsensusStats stats_;
 };
 

@@ -201,7 +201,6 @@ class Instances {
     auto it = instances_.find(k);
     return it == instances_.end() ? nullptr : &it->second;
   }
-  const std::map<std::uint64_t, Instance>& all() const { return instances_; }
 
   bool decided(std::uint64_t k) const { return decisions_.count(k) != 0; }
   const Value* decision(std::uint64_t k) const {
@@ -217,9 +216,17 @@ class Instances {
     return inst;
   }
 
-  /// Keeps at most `retention` decisions, dropping the oldest with their
-  /// instances — never `except_k`: callers up the stack may hold it.
+  /// Called once per decision, for the instance k just decided. Keeps at
+  /// most `retention` decisions, dropping the oldest with their instances —
+  /// never `except_k`: callers up the stack may hold it. The instance
+  /// decided before k has no round work left, so its round state goes now;
+  /// its decision stays, and a later touch finds it born decided.
   void prune(std::uint64_t retention, std::uint64_t except_k) {
+    if (previous_ != except_k) {
+      auto it = instances_.find(previous_);
+      if (it != instances_.end() && it->second.decided) instances_.erase(it);
+      previous_ = except_k;
+    }
     while (decisions_.size() > retention) {
       const std::uint64_t oldest = decisions_.begin()->first;
       if (oldest == except_k) break;
@@ -245,6 +252,7 @@ class Instances {
  private:
   std::map<std::uint64_t, Instance> instances_;
   std::map<std::uint64_t, Value> decisions_;
+  std::uint64_t previous_ = ~std::uint64_t{0};  ///< last prune()'s except_k
 };
 
 }  // namespace modcast::ct

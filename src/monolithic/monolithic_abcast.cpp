@@ -591,7 +591,8 @@ void MonolithicAbcast::apply_ready_decisions() {
     if (deliver_) deliver_(m.id.origin, m.id.seq, m.payload);
   };
   while (const util::Payload* value = flow_.next_decision()) {
-    flow_.apply_next(adb::decode_batch(*value), on_ordered);
+    flow_.apply_next(adb::decode_batch(*value, stack_->group_size()),
+                     on_ordered);
     stack_->rt().charge_cpu(flow_.config().instance_overhead);
   }
   admit_queued();
@@ -694,7 +695,8 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
     case kAck: {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
-      for (auto& m : adb::decode_batch(r)) pool_add(std::move(m));
+      for (auto& m : adb::decode_batch(r, stack_->group_size()))
+        pool_add(std::move(m));
       if (k >= flow_.next_decide() && !instances_.decided(k)) {
         Instance& inst = instance(k);
         if (ct::count_ack(inst, group(), round, from)) {
@@ -706,7 +708,8 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       break;
     }
     case kForward: {
-      for (auto& m : adb::decode_batch(r)) pool_add(std::move(m));
+      for (auto& m : adb::decode_batch(r, stack_->group_size()))
+        pool_add(std::move(m));
       start_instances();
       // If we coordinate a held recovery round, the fresh pool content may
       // unblock it.
@@ -736,7 +739,8 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       const std::uint32_t round = r.u32();
       const std::uint32_t ts = r.u32();
       util::Payload est = r.blob_payload();
-      for (auto& m : adb::decode_batch(r)) pool_add(std::move(m));
+      for (auto& m : adb::decode_batch(r, stack_->group_size()))
+        pool_add(std::move(m));
       if (instances_.decided(k) || k < flow_.next_decide()) {
         reply_decision_if_known(from, k);
         break;

@@ -54,6 +54,11 @@ void ReliableBcast::on_wire(util::ProcessId from, util::Payload msg) {
   (void)from;
   util::ByteReader r(msg);
   const util::ProcessId origin = r.u32();
+  // The origin indexes the dense per-origin delivery tracker.
+  if (origin >= stack_->group_size()) {
+    throw util::DecodeError("rbcast: origin " + std::to_string(origin) +
+                            " outside the group");
+  }
   const std::uint64_t seq = r.u64();
   // Zero-copy: the delivered payload is a slice of the received message.
   util::Payload payload = r.blob_payload();

@@ -6,27 +6,39 @@ namespace modcast::sim {
 
 void Cpu::execute(util::Duration cost, WorkFn fn) {
   if (halted_) return;
-  queue_.push_back(Work{std::max<util::Duration>(cost, 0), std::move(fn)});
+  if (queued_ == ring_.size()) {
+    std::vector<Work> grown(ring_.empty() ? 16 : 2 * ring_.size());
+    for (std::size_t i = 0; i < queued_; ++i) {
+      grown[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+    }
+    ring_.swap(grown);
+    head_ = 0;
+  }
+  Work& slot = ring_[(head_ + queued_) & (ring_.size() - 1)];
+  slot.cost = std::max<util::Duration>(cost, 0);
+  slot.fn = std::move(fn);
+  ++queued_;
   if (!running_) start_next();
 }
 
 void Cpu::start_next() {
-  if (halted_ || queue_.empty()) {
+  if (halted_ || queued_ == 0) {
     running_ = false;
     return;
   }
   running_ = true;
 
   const util::TimePoint start = std::max(free_at_, sim_->now());
-  free_at_ = start + queue_.front().cost;
-  busy_time_ += queue_.front().cost;
+  free_at_ = start + front().cost;
+  busy_time_ += front().cost;
   // The work item stays queued until it fires so the scheduled closure only
   // captures `this` (stays within the event queue's inline storage).
   sim_->at(free_at_, [this] {
     if (halted_) return;  // halt() cleared the queue
-    Work work = std::move(queue_.front());
-    queue_.pop_front();
-    work.fn();  // fn may call charge(), extending free_at_
+    WorkFn fn = std::move(front().fn);
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --queued_;
+    fn();  // fn may call charge(), extending free_at_
     start_next();
   }, shard_);
 }
@@ -40,7 +52,10 @@ void Cpu::charge(util::Duration cost) {
 
 void Cpu::halt() {
   halted_ = true;
-  queue_.clear();
+  for (; queued_ > 0; --queued_) {
+    front().fn.reset();
+    head_ = (head_ + 1) & (ring_.size() - 1);
+  }
   running_ = false;
 }
 

@@ -10,7 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "util/inline_fn.hpp"
@@ -50,7 +50,7 @@ class Cpu {
   /// queued-but-unstarted items).
   util::TimePoint free_at() const { return free_at_; }
 
-  std::size_t queue_depth() const { return queue_.size(); }
+  std::size_t queue_depth() const { return queued_; }
 
   /// Starts a measurement window at the current instant.
   void mark_window();
@@ -59,15 +59,22 @@ class Cpu {
 
  private:
   struct Work {
-    util::Duration cost;
+    util::Duration cost = 0;
     WorkFn fn;
   };
 
   void start_next();
+  /// The oldest queued item.
+  Work& front() { return ring_[head_]; }
 
   Simulator* sim_;
   std::size_t shard_ = 0;
-  std::deque<Work> queue_;
+  /// FIFO of queued work: a power-of-two ring, items [head_, head_+queued_)
+  /// modulo its size. It doubles when full and never shrinks, so a steady
+  /// queue depth allocates nothing.
+  std::vector<Work> ring_;
+  std::size_t head_ = 0;
+  std::size_t queued_ = 0;
   bool running_ = false;
   util::TimePoint free_at_ = 0;
   util::Duration busy_time_ = 0;

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <set>
 #include <vector>
 
@@ -305,6 +307,84 @@ TEST(ConsensusApi, ProposeIsIdempotentPerInstance) {
   }
   h.run_until(seconds(1));
   EXPECT_EQ(string_of(h.node(1).decided.at(0)), "first");
+}
+
+// ---------------------------------------------------------------------------
+// Open-instance accounting
+// ---------------------------------------------------------------------------
+
+TEST(ConsensusStatsCount, MaxOpenInstancesMatchesABruteForceCount) {
+  // Pipeline depth 4: every process proposes instances in bursts of four,
+  // 1 µs apart, the bursts closer together than an instance takes to
+  // decide, so undecided instances pile up across bursts. All processes
+  // propose k at the same instant and no message for k can arrive earlier,
+  // so each process creates k exactly then. A probe right after each
+  // propose counts proposed-but-undecided instances by brute force; the
+  // open count only rises at a creation, so the probes see its maximum.
+  constexpr std::size_t kN = 3;
+  constexpr std::uint64_t kInstances = 40;
+  NodeHarness h(kN, 1, fast_fd());
+  h.start();
+  std::vector<std::uint64_t> brute_max(kN, 0);
+  for (std::uint64_t k = 0; k < kInstances; ++k) {
+    const util::TimePoint at =
+        milliseconds(5) +
+        static_cast<util::TimePoint>(k / 4) * util::microseconds(1700) +
+        static_cast<util::TimePoint>(k % 4) * util::microseconds(1);
+    for (util::ProcessId p = 0; p < kN; ++p) {
+      h.propose_at(at, p, k, "v" + std::to_string(k));
+    }
+    h.world().simulator().at(at, [&h, &brute_max, k] {
+      for (util::ProcessId p = 0; p < kN; ++p) {
+        const std::uint64_t open = k + 1 - h.node(p).decided.size();
+        brute_max[p] = std::max(brute_max[p], open);
+      }
+    });
+  }
+  h.run_until(seconds(2));
+  for (util::ProcessId p = 0; p < kN; ++p) {
+    EXPECT_EQ(h.node(p).decided.size(), kInstances) << "process " << p;
+    EXPECT_GT(brute_max[p], 4u) << "bursts must overlap; process " << p;
+    EXPECT_EQ(h.node(p).cons.stats().max_open_instances, brute_max[p])
+        << "process " << p;
+  }
+}
+
+TEST(ConsensusStatsCount, InstanceTouchedAfterItsDecisionIsNotOpen) {
+  NodeHarness h(3, 1, fast_fd());
+  h.start();
+  for (util::ProcessId p = 0; p < 3; ++p) {
+    h.propose_at(milliseconds(5), p, 0, "a");
+  }
+  h.run_until(milliseconds(100));
+  framework::Stack& stack = h.node(2).stack;
+  ASSERT_EQ(h.node(2).cons.stats().max_open_instances, 1u);
+  // Instance 1's decision reaches p2 before anything else of instance 1
+  // (a kFull answer to a pull) ...
+  util::ByteWriter full = framework::Stack::writer(framework::kModConsensus);
+  full.u8(6);  // kFull
+  full.u64(1);
+  full.blob(bytes_of("b"));
+  stack.on_message(0, full.take());
+  ASSERT_TRUE(h.node(2).cons.has_decided(1));
+  // ... then a late recovery-round proposal for it creates the instance,
+  // born decided.
+  util::ByteWriter proposal =
+      framework::Stack::writer(framework::kModConsensus);
+  proposal.u8(2);  // kProposal
+  proposal.u64(1);
+  proposal.u32(2);
+  proposal.blob(bytes_of("b"));
+  stack.on_message(1, proposal.take());
+  h.run_until(milliseconds(200));
+  EXPECT_EQ(h.node(2).cons.stats().max_open_instances, 1u);
+  // A later instance opens and closes as usual.
+  for (util::ProcessId p = 0; p < 3; ++p) {
+    h.propose_at(milliseconds(205), p, 2, "c");
+  }
+  h.run_until(milliseconds(400));
+  EXPECT_TRUE(h.node(2).cons.has_decided(2));
+  EXPECT_EQ(h.node(2).cons.stats().max_open_instances, 1u);
 }
 
 }  // namespace

@@ -278,5 +278,31 @@ TEST(CtCore, InstancesPruneOldestDecidedAndBornDecided) {
   EXPECT_TRUE(table.at(9).decided);
 }
 
+TEST(CtCore, InstancesReleaseTheRoundStateOfThePreviousDecision) {
+  Instances<Inst> table;
+  table.at(0).timer = 1;
+  table.at(1);
+  table.decide(0, bytes_of("a"));
+  table.prune(512, 0);
+  ASSERT_NE(table.find(0), nullptr);  // callers up the stack may hold it
+  table.decide(1, bytes_of("b"));
+  table.prune(512, 1);
+  // Instance 0's round state is gone; its decision stays, and a late touch
+  // finds it born decided with fresh state.
+  EXPECT_EQ(table.find(0), nullptr);
+  ASSERT_NE(table.decision(0), nullptr);
+  EXPECT_TRUE(table.decided(0));
+  EXPECT_TRUE(table.at(0).decided);
+  EXPECT_EQ(table.at(0).timer, 0);
+  ASSERT_NE(table.find(1), nullptr);
+  // An undecided instance is never released.
+  table.at(2);
+  table.decide(3, bytes_of("c"));
+  table.prune(512, 3);
+  ASSERT_NE(table.find(2), nullptr);
+  EXPECT_FALSE(table.find(2)->decided);
+  EXPECT_EQ(table.find(1), nullptr);
+}
+
 }  // namespace
 }  // namespace modcast::ct

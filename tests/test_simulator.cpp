@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/cpu.hpp"
@@ -155,6 +156,56 @@ TEST(Cpu, HaltDropsQueuedWork) {
   cpu.execute(microseconds(1), [&] { ++ran; });
   sim.run();
   EXPECT_EQ(ran, 0);
+}
+
+TEST(Cpu, FifoOrderHoldsAcrossRingGrowth) {
+  Simulator sim;
+  Cpu cpu(sim);
+  std::vector<int> order;
+  std::vector<util::TimePoint> done;
+  auto enqueue = [&](int first, int count) {
+    for (int i = first; i < first + count; ++i) {
+      cpu.execute(microseconds(10), [&order, &done, &sim, i] {
+        order.push_back(i);
+        done.push_back(sim.now());
+      });
+    }
+  };
+  sim.at(0, [&] { enqueue(0, 10); });
+  // Three items have run, so the ring's head is off slot 0 when 1500 more
+  // arrive and it grows several times.
+  sim.at(microseconds(35), [&] {
+    EXPECT_EQ(cpu.queue_depth(), 7u);
+    enqueue(10, 1500);
+    EXPECT_EQ(cpu.queue_depth(), 1507u);
+  });
+  sim.run();
+  ASSERT_EQ(order.size(), 1510u);
+  for (int i = 0; i < 1510; ++i) {
+    ASSERT_EQ(order[static_cast<std::size_t>(i)], i);
+    ASSERT_EQ(done[static_cast<std::size_t>(i)], microseconds(10) * (i + 1));
+  }
+  EXPECT_EQ(cpu.queue_depth(), 0u);
+}
+
+TEST(Cpu, HaltClearsTheRingAndReleasesQueuedWork) {
+  Simulator sim;
+  Cpu cpu(sim);
+  const auto token = std::make_shared<int>(0);
+  sim.at(0, [&] {
+    for (int i = 0; i < 40; ++i) {
+      cpu.execute(microseconds(10), [token] { ++*token; });
+    }
+  });
+  sim.run_until(microseconds(25));
+  EXPECT_EQ(*token, 2);
+  EXPECT_EQ(cpu.queue_depth(), 38u);
+  EXPECT_EQ(token.use_count(), 39);  // 38 queued captures
+  cpu.halt();
+  EXPECT_EQ(cpu.queue_depth(), 0u);
+  EXPECT_EQ(token.use_count(), 1);
+  sim.run();
+  EXPECT_EQ(*token, 2);
 }
 
 TEST(Cpu, WindowUtilization) {

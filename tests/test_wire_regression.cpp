@@ -386,7 +386,7 @@ TEST(WireFormat, AdbMessageBatchAndIdBatch) {
   batch_expected.insert(batch_expected.end(), msg_expected.begin(),
                         msg_expected.end());
   EXPECT_EQ(batch, batch_expected);
-  const auto decoded = adb::decode_batch(batch);
+  const auto decoded = adb::decode_batch(batch, 8);
   ASSERT_EQ(decoded.size(), 1u);
   EXPECT_EQ(decoded[0].id.origin, 7u);
   EXPECT_EQ(decoded[0].id.seq, 9u);
@@ -561,9 +561,9 @@ Payload overrun_frame(framework::ModuleId module_id, std::uint8_t tag,
 }
 
 /// A live n=3 group of `kind` is handed `frames` mid-run at every process:
-/// each slice read past the frame must throw DecodeError, be dropped and
-/// counted once in malformed_frames, and leave the group delivering in
-/// total order.
+/// each must throw DecodeError (a slice read past the frame, an origin
+/// outside the group), be dropped and counted once in malformed_frames, and
+/// leave the group delivering everything in total order and agreement.
 void run_overrun_frames(core::StackKind kind,
                         const std::vector<Payload>& frames) {
   QuietWarnings quiet;
@@ -597,6 +597,9 @@ void run_overrun_frames(core::StackKind kind,
   }
   const core::ContractViolation order = core::check_total_order(g);
   EXPECT_TRUE(order.ok) << order.detail;
+  const core::ContractViolation agreement =
+      core::check_agreement_among_correct(g);
+  EXPECT_TRUE(agreement.ok) << agreement.detail;
 }
 
 TEST(MalformedFrame, BatchBlobOverrunIsDroppedByBothStacks) {
@@ -608,6 +611,44 @@ TEST(MalformedFrame, BatchBlobOverrunIsDroppedByBothStacks) {
   run_overrun_frames(core::StackKind::kMonolithic,
                      {overrun_frame(framework::kModMonolithic, 2, 12),
                       overrun_frame(framework::kModMonolithic, 3, 0)});
+}
+
+/// A well-formed `module_id` frame whose one message (or id) names origin
+/// 0xFFFFFFFF: `tag`, `prefix` zero bytes of fixed fields, then the message
+/// — in a batch (count first) unless `batch` is false, and as a bare id
+/// when `id_only` is set.
+Payload bad_origin_frame(framework::ModuleId module_id, std::uint8_t tag,
+                         std::size_t prefix, bool batch = true,
+                         bool id_only = false) {
+  util::ByteWriter w = framework::Stack::writer(module_id);
+  w.u8(tag);
+  w.raw(Bytes(prefix, 0));
+  if (batch) w.u32(1);
+  w.u32(0xFFFFFFFF);  // origin
+  w.u64(7);           // seq
+  if (!id_only) w.blob(Bytes(8, 0x5a));
+  return w.take();
+}
+
+TEST(MalformedFrame, OutOfRangeOriginIsDroppedByBothStacks) {
+  // The origin indexes dense per-origin tables, so it is malformed, never
+  // a size. Modular: kDiffuse, kPayloadPull (ids), kPayloadPush, and an
+  // rbcast frame (origin, seq, payload; no tag).
+  util::ByteWriter rb = framework::Stack::writer(framework::kModRbcast);
+  rb.u32(0xFFFFFFFF);
+  rb.u64(7);
+  rb.blob(Bytes(8, 0x5a));
+  run_overrun_frames(
+      core::StackKind::kModular,
+      {bad_origin_frame(framework::kModAbcast, 1, 0, false),
+       bad_origin_frame(framework::kModAbcast, 2, 0, true, true),
+       bad_origin_frame(framework::kModAbcast, 3, 0), rb.take()});
+  // Monolithic: kAck (k, round), kForward, and kEstimate (k, round, ts, an
+  // empty estimate blob) with the piggybacked batch.
+  run_overrun_frames(core::StackKind::kMonolithic,
+                     {bad_origin_frame(framework::kModMonolithic, 2, 12),
+                      bad_origin_frame(framework::kModMonolithic, 3, 0),
+                      bad_origin_frame(framework::kModMonolithic, 5, 20)});
 }
 
 TEST(MalformedFrame, ModularGroupSurvivesTruncatedFrames) {
@@ -698,6 +739,13 @@ TEST(ZeroCopy, ModularDecisionSharesTheReceivedProposal) {
     // the adopted estimate: one buffer, several owners, no copies.
     EXPECT_GE(proposal->use_count(), 4) << "process " << p;
   }
+  // The coordinator's own decision is a view of the proposal frame it sent
+  // (the simulated network hands every peer that same frame), so the group
+  // retains one buffer per instance.
+  const Payload* sent = g.recorders[1]->find(framework::kModConsensus, 2);
+  const Payload* own = g.procs[0]->consensus_module()->decision(0);
+  ASSERT_NE(own, nullptr);
+  EXPECT_TRUE(own->shares_buffer(*sent));
 }
 
 TEST(ZeroCopy, MonolithicDecisionSharesTheReceivedProposal) {

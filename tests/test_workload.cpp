@@ -114,7 +114,7 @@ TEST(AdbTypes, MessageRoundTrip) {
   EXPECT_EQ(w.size(), encoded_size(m));
   const util::Payload frame(w.take());
   util::ByteReader r(frame);
-  AppMessage back = decode_message(r);
+  AppMessage back = decode_message(r, 5);
   EXPECT_EQ(back.id, m.id);
   EXPECT_EQ(back.payload, m.payload);
 }
@@ -125,7 +125,7 @@ TEST(AdbTypes, BatchRoundTrip) {
     batch.push_back({{i, i * 100}, util::Bytes(i, static_cast<uint8_t>(i))});
   }
   auto encoded = encode_batch(batch);
-  auto decoded = decode_batch(encoded);
+  auto decoded = decode_batch(encoded, 5);
   ASSERT_EQ(decoded.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(decoded[i].id, batch[i].id);
@@ -136,7 +136,7 @@ TEST(AdbTypes, BatchRoundTrip) {
 TEST(AdbTypes, EmptyBatch) {
   auto encoded = encode_batch({});
   EXPECT_EQ(encoded.size(), 4u);
-  EXPECT_TRUE(decode_batch(encoded).empty());
+  EXPECT_TRUE(decode_batch(encoded, 1).empty());
 }
 
 TEST(AdbTypes, MsgIdOrdering) {
@@ -147,7 +147,7 @@ TEST(AdbTypes, MsgIdOrdering) {
 
 TEST(AdbTypes, CorruptBatchThrows) {
   util::Bytes bad = {0xff, 0xff, 0xff, 0xff};  // claims 4 billion messages
-  EXPECT_THROW(decode_batch(bad), util::DecodeError);
+  EXPECT_THROW(decode_batch(bad, 1), util::DecodeError);
 }
 
 }  // namespace
