@@ -11,7 +11,6 @@ SimGroup::SimGroup(SimGroupConfig config) : config_(config) {
   wc.cpu = config.cpu;
   wc.net = config.net;
   wc.seed = config.seed;
-  wc.event_shards = config.event_shards;
   world_ = std::make_unique<runtime::SimWorld>(wc);
 
   if (config.drop_probability > 0.0) {

@@ -59,12 +59,6 @@ struct SimGroupConfig {
   /// charges crossing costs with or without a tracer). Query per-process
   /// registries via metrics(p) or the merged view via collect_metrics().
   bool collect_metrics = false;
-
-  /// Event-queue shards for the underlying simulator (see
-  /// runtime::SimWorldConfig::event_shards). Purely an implementation knob:
-  /// every value executes the byte-identical event order. 0/1 keeps the
-  /// single flat heap; `n` gives one shard per process.
-  std::size_t event_shards = 1;
 };
 
 class SimGroup {

@@ -19,14 +19,16 @@ void HeartbeatFd::init(framework::Stack& stack) {
 void HeartbeatFd::start() {
   const auto n = stack_->group_size();
   last_heard_.assign(n, stack_->rt().now());
+  suspected_.assign(n, 0);
+  util::ByteWriter w = framework::Stack::writer(framework::kModFd, 1);
+  w.u8(kHeartbeat);
+  heartbeat_ = w.take();
   tick();
 }
 
 void HeartbeatFd::tick() {
   // Send heartbeats.
-  util::ByteWriter w = framework::Stack::writer(framework::kModFd, 1);
-  w.u8(kHeartbeat);
-  stack_->send_wire_to_others(framework::kModFd, w.take());
+  stack_->send_wire_to_others(framework::kModFd, heartbeat_);
   heartbeats_sent_ += stack_->group_size() - 1;
 
   // Check timeouts.
@@ -34,7 +36,7 @@ void HeartbeatFd::tick() {
   const auto n = static_cast<util::ProcessId>(stack_->group_size());
   for (util::ProcessId q = 0; q < n; ++q) {
     if (q == stack_->self()) continue;
-    if (now - last_heard_[q] > config_.timeout && suspected_.count(q) == 0) {
+    if (now - last_heard_[q] > config_.timeout && suspected_[q] == 0) {
       mark_suspected(q);
     }
   }
@@ -46,24 +48,26 @@ void HeartbeatFd::on_wire(util::ProcessId from, util::Payload payload) {
   util::ByteReader r(payload);
   if (r.u8() != kHeartbeat) return;
   last_heard_[from] = stack_->rt().now();
-  if (suspected_.count(from) != 0) mark_restored(from);
+  if (suspected_[from] != 0) mark_restored(from);
 }
 
 void HeartbeatFd::force_suspect(util::ProcessId q) {
-  if (q == stack_->self() || suspected_.count(q) != 0) return;
+  if (q == stack_->self() || suspects(q)) return;
   // Backdate last_heard so the suspicion persists until a real heartbeat.
   last_heard_[q] = stack_->rt().now() - config_.timeout - 1;
   mark_suspected(q);
 }
 
 void HeartbeatFd::mark_suspected(util::ProcessId q) {
-  suspected_.insert(q);
+  suspected_[q] = 1;
+  ++suspected_count_;
   stack_->raise(framework::Event::local(
       framework::kEvSuspect, framework::SuspicionBody{q}));
 }
 
 void HeartbeatFd::mark_restored(util::ProcessId q) {
-  suspected_.erase(q);
+  suspected_[q] = 0;
+  --suspected_count_;
   stack_->raise(framework::Event::local(
       framework::kEvRestore, framework::SuspicionBody{q}));
 }

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "framework/stack.hpp"
@@ -32,8 +31,11 @@ class HeartbeatFd final : public framework::Module {
   void start() override;
 
   /// Current FD output list.
-  bool suspects(util::ProcessId q) const { return suspected_.count(q) != 0; }
-  const std::set<util::ProcessId>& suspected() const { return suspected_; }
+  bool suspects(util::ProcessId q) const {
+    return q < suspected_.size() && suspected_[q] != 0;
+  }
+  /// Number of processes currently suspected.
+  std::size_t suspected_count() const { return suspected_count_; }
 
   // --- Test hooks ----------------------------------------------------------
 
@@ -52,7 +54,11 @@ class HeartbeatFd final : public framework::Module {
   FdConfig config_;
   framework::Stack* stack_ = nullptr;
   std::vector<util::TimePoint> last_heard_;
-  std::set<util::ProcessId> suspected_;
+  /// Per-process suspicion flags (plain bytes, like Network::crashed_).
+  std::vector<std::uint8_t> suspected_;
+  std::size_t suspected_count_ = 0;
+  /// The heartbeat frame: immutable, built once and resent every tick.
+  util::Payload heartbeat_;
   std::uint64_t heartbeats_sent_ = 0;
 };
 

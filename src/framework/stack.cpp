@@ -1,5 +1,6 @@
 #include "framework/stack.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -22,6 +23,8 @@ void Stack::bind(EventType type, EventHandler handler) {
 }
 
 void Stack::bind_wire(ModuleId module_id, WireHandler handler) {
+  if (wire_bindings_.size() <= module_id) wire_bindings_.resize(module_id + 1);
+  if (wire_counters_.size() <= module_id) wire_counters_.resize(module_id + 1);
   wire_bindings_[module_id] = std::move(handler);
 }
 
@@ -55,6 +58,9 @@ void Stack::send_wire(util::ProcessId to, ModuleId module_id,
   }
   const std::size_t payload_size = frame.size() - 1;
   ++counters_.wire_sends;
+  if (wire_counters_.size() <= module_id) {
+    wire_counters_.resize(module_id + 1);  // an id this stack never bound
+  }
   auto& wc = wire_counters_[module_id];
   ++wc.messages_sent;
   wc.bytes_sent += frame.size();
@@ -68,11 +74,13 @@ void Stack::send_wire(util::ProcessId to, ModuleId module_id,
 }
 
 const ModuleWireCounters& Stack::wire_counters(ModuleId module_id) const {
-  return wire_counters_[module_id];
+  static const ModuleWireCounters kNone{};
+  return module_id < wire_counters_.size() ? wire_counters_[module_id] : kNone;
 }
 
 void Stack::reset_wire_counters() {
-  wire_counters_.fill(ModuleWireCounters{});
+  std::fill(wire_counters_.begin(), wire_counters_.end(),
+            ModuleWireCounters{});
 }
 
 void Stack::send_wire_to_others(ModuleId module_id,
@@ -94,8 +102,7 @@ void Stack::on_message(util::ProcessId from, util::Payload msg) {
     return;
   }
   const ModuleId module_id = msg[0];
-  auto& handler = wire_bindings_[module_id];
-  if (!handler) {
+  if (module_id >= wire_bindings_.size() || !wire_bindings_[module_id]) {
     MODCAST_WARN("stack: no module bound for wire id " +
                  std::to_string(module_id));
     return;
@@ -107,10 +114,10 @@ void Stack::on_message(util::ProcessId from, util::Payload msg) {
                         module_id, from, msg.size() - 1});
   }
   if (crossing_cost_ > 0) rt_->charge_cpu(crossing_cost_);
-  // Zero-copy header strip: the handler sees a narrower view of the same
-  // buffer.
+  // Zero-copy header strip, in place: the handler gets this view, narrowed.
+  msg.remove_prefix(1);
   try {
-    handler(from, msg.slice(1));
+    wire_bindings_[module_id](from, std::move(msg));
   } catch (const util::DecodeError& e) {
     ++counters_.malformed_frames;
     MODCAST_WARN("stack: dropped malformed frame for wire id " +

@@ -13,7 +13,6 @@
 // algorithmic message-count differences.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <string_view>
@@ -109,7 +108,8 @@ class Stack final : public runtime::Protocol {
 
   const StackCounters& counters() const { return counters_; }
 
-  /// Wire traffic attributable to one module (by demux id).
+  /// Wire traffic attributable to one module (by demux id); all zero for
+  /// an id this stack never bound or sent on.
   const ModuleWireCounters& wire_counters(ModuleId module_id) const;
   void reset_wire_counters();
 
@@ -141,11 +141,12 @@ class Stack final : public runtime::Protocol {
   util::Duration crossing_cost_;
   std::vector<Module*> modules_;
   // Dense dispatch tables: event types and module ids are small integers,
-  // so both lookups are a single indexed load instead of a tree walk.
+  // so both lookups are a single indexed load instead of a tree walk. The
+  // wire tables reach only the highest id bound (or sent on), not all 256.
   std::vector<std::vector<EventHandler>> bindings_;   // indexed by EventType
-  std::array<WireHandler, 256> wire_bindings_{};      // indexed by ModuleId
+  std::vector<WireHandler> wire_bindings_;            // indexed by ModuleId
   StackCounters counters_;
-  std::array<ModuleWireCounters, 256> wire_counters_{};
+  std::vector<ModuleWireCounters> wire_counters_;     // indexed by ModuleId
   TraceSink tracer_;
   TraceContext trace_ctx_;
 

@@ -20,6 +20,9 @@ namespace modcast::runtime {
 
 using TimerId = std::uint64_t;
 constexpr TimerId kInvalidTimer = 0;
+/// A timer's callback. The protocol that arms the timer builds it; a
+/// runtime only moves it to where it runs.
+using TimerFn = std::function<void()>;
 
 class Runtime {
  public:
@@ -41,8 +44,7 @@ class Runtime {
 
   /// One-shot timer. The callback runs in the process's execution context
   /// (never concurrently with message handlers).
-  virtual TimerId set_timer(util::Duration delay,
-                            std::function<void()> fn) = 0;
+  virtual TimerId set_timer(util::Duration delay, TimerFn fn) = 0;
 
   /// Cancels a pending timer; cancelling a fired/unknown timer is a no-op.
   virtual void cancel_timer(TimerId id) = 0;

@@ -1,7 +1,6 @@
 #include "runtime/sim_world.hpp"
 
 #include <cassert>
-#include <unordered_map>
 
 namespace modcast::runtime {
 
@@ -21,32 +20,26 @@ class SimWorld::ProcRuntime final : public Runtime {
     world_->net_.send(self_, to, std::move(msg));
   }
 
-  TimerId set_timer(util::Duration delay, std::function<void()> fn) override {
-    const TimerId id = next_timer_++;
+  // A timer's id is its event's id: never 0, and the queue's generation
+  // check makes cancelling a fired timer a no-op.
+  TimerId set_timer(util::Duration delay, TimerFn fn) override {
     ++timer_arms_;
-    auto event = world_->sim_.after(
-        delay, [this, id, fn = std::move(fn)] {
-          auto it = timers_.find(id);
-          if (it == timers_.end()) return;  // cancelled
-          timers_.erase(it);
-          world_->cpu(self_).execute(world_->config_.cpu.timer_base, fn);
-        },
-        self_);
-    timers_[id] = event;
-    return id;
+    ++pending_timers_;
+    return world_->sim_.after(delay, [this, fn = std::move(fn)]() mutable {
+      --pending_timers_;
+      world_->cpu(self_).execute(world_->config_.cpu.timer_base,
+                                 std::move(fn));
+    });
   }
 
   void cancel_timer(TimerId id) override {
-    auto it = timers_.find(id);
-    if (it == timers_.end()) return;
-    world_->sim_.cancel(it->second);
-    timers_.erase(it);
+    if (world_->sim_.cancel(id)) --pending_timers_;
   }
 
   util::Rng& rng() override { return rng_; }
 
   std::uint64_t timer_arms() const { return timer_arms_; }
-  std::size_t pending_timers() const { return timers_.size(); }
+  std::size_t pending_timers() const { return pending_timers_; }
 
   void charge_cpu(util::Duration cost) override {
     world_->cpu(self_).charge(cost);
@@ -56,38 +49,37 @@ class SimWorld::ProcRuntime final : public Runtime {
   SimWorld* world_;
   util::ProcessId self_;
   util::Rng rng_;
-  TimerId next_timer_ = 1;
   std::uint64_t timer_arms_ = 0;
-  std::unordered_map<TimerId, sim::EventId> timers_;
+  std::size_t pending_timers_ = 0;
 };
 
 SimWorld::SimWorld(SimWorldConfig config)
     : config_(config),
-      sim_(std::max<std::size_t>(config.event_shards, 1)),
       // The network draws its own RNG stream off the world seed so drop
       // decisions replay identically however many worlds run in parallel.
       net_(sim_, config.n, config.net, config.seed ^ 0x6e6574647270ULL),
       protocols_(config.n, nullptr),
       root_rng_(config.seed) {
+  // Reserved once: events capture these addresses, so they never move.
   cpus_.reserve(config_.n);
   runtimes_.reserve(config_.n);
   for (std::size_t p = 0; p < config_.n; ++p) {
-    cpus_.push_back(std::make_unique<sim::Cpu>(sim_, p));
-    runtimes_.push_back(std::make_unique<ProcRuntime>(
-        *this, static_cast<util::ProcessId>(p), root_rng_.split()));
+    cpus_.emplace_back(sim_);
+    runtimes_.emplace_back(*this, static_cast<util::ProcessId>(p),
+                           root_rng_.split());
   }
 }
 
 SimWorld::~SimWorld() = default;
 
-Runtime& SimWorld::runtime(util::ProcessId p) { return *runtimes_.at(p); }
+Runtime& SimWorld::runtime(util::ProcessId p) { return runtimes_.at(p); }
 
 std::uint64_t SimWorld::timer_arms(util::ProcessId p) const {
-  return runtimes_.at(p)->timer_arms();
+  return runtimes_.at(p).timer_arms();
 }
 
 std::size_t SimWorld::pending_timers(util::ProcessId p) const {
-  return runtimes_.at(p)->pending_timers();
+  return runtimes_.at(p).pending_timers();
 }
 
 void SimWorld::attach(util::ProcessId p, Protocol* protocol) {
@@ -95,7 +87,7 @@ void SimWorld::attach(util::ProcessId p, Protocol* protocol) {
   protocols_[p] = protocol;
   net_.set_endpoint(p, [this, p](util::ProcessId from, util::Payload msg) {
     const auto cost = config_.cpu.recv_cost(msg.size());
-    cpus_[p]->execute(cost, [this, p, from, m = std::move(msg)]() mutable {
+    cpus_[p].execute(cost, [this, p, from, m = std::move(msg)]() mutable {
       protocols_[p]->on_message(from, std::move(m));
     });
   });
@@ -106,17 +98,17 @@ void SimWorld::start() {
     assert(protocols_[p] != nullptr && "attach() every process before start");
     sim_.at(0, [this, p] {
       if (!crashed(static_cast<util::ProcessId>(p))) protocols_[p]->start();
-    }, p);
+    });
   }
 }
 
 void SimWorld::crash(util::ProcessId p) {
   net_.crash(p);
-  cpus_.at(p)->halt();
+  cpus_.at(p).halt();
 }
 
 void SimWorld::crash_at(util::ProcessId p, util::TimePoint when) {
-  sim_.at(when, [this, p] { crash(p); }, p);
+  sim_.at(when, [this, p] { crash(p); });
 }
 
 }  // namespace modcast::runtime

@@ -7,7 +7,6 @@
 // saturates its CPUs at loads comparable to the paper's testbed.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "runtime/runtime.hpp"
@@ -45,11 +44,8 @@ struct SimWorldConfig {
   sim::NetworkConfig net;
   CpuCostModel cpu;
   std::uint64_t seed = 1;
-  /// Event-queue shards for the simulator (sim/event_queue.hpp). 0 or 1
-  /// keeps the single flat heap; SimWorld tags every scheduled event with
-  /// its owning process, so `n` gives one shard per process. Any value
-  /// executes the byte-identical event order (the deterministic ordering
-  /// contract is global (time, insertion seq) regardless of sharding).
+  /// Ignored. The event queue no longer has shards; the field stays so
+  /// that callers written for it still compile.
   std::size_t event_shards = 1;
 };
 
@@ -64,7 +60,7 @@ class SimWorld {
   std::size_t size() const { return config_.n; }
   sim::Simulator& simulator() { return sim_; }
   sim::Network& network() { return net_; }
-  sim::Cpu& cpu(util::ProcessId p) { return *cpus_.at(p); }
+  sim::Cpu& cpu(util::ProcessId p) { return cpus_.at(p); }
   Runtime& runtime(util::ProcessId p);
   /// Total timers armed by process p's runtime so far (metrics).
   std::uint64_t timer_arms(util::ProcessId p) const;
@@ -101,8 +97,8 @@ class SimWorld {
   SimWorldConfig config_;
   sim::Simulator sim_;
   sim::Network net_;
-  std::vector<std::unique_ptr<sim::Cpu>> cpus_;
-  std::vector<std::unique_ptr<ProcRuntime>> runtimes_;
+  std::vector<sim::Cpu> cpus_;
+  std::vector<ProcRuntime> runtimes_;
   std::vector<Protocol*> protocols_;
   util::Rng root_rng_;
 };

@@ -32,7 +32,9 @@ void Cpu::start_next() {
   free_at_ = start + front().cost;
   busy_time_ += front().cost;
   // The work item stays queued until it fires so the scheduled closure only
-  // captures `this` (stays within the event queue's inline storage).
+  // captures `this` (stays within the event queue's inline storage). A CPU
+  // has at most one completion pending, so it needs no lane of its own: at
+  // most one heap entry per CPU.
   sim_->at(free_at_, [this] {
     if (halted_) return;  // halt() cleared the queue
     WorkFn fn = std::move(front().fn);
@@ -40,7 +42,7 @@ void Cpu::start_next() {
     --queued_;
     fn();  // fn may call charge(), extending free_at_
     start_next();
-  }, shard_);
+  });
 }
 
 void Cpu::charge(util::Duration cost) {

@@ -22,11 +22,7 @@ class Cpu {
  public:
   using WorkFn = util::InlineFn<64>;
 
-  /// `shard` tags this CPU's completion events for the simulator's optional
-  /// event sharding (SimWorld passes the owning process id; ignored by an
-  /// unsharded simulator).
-  explicit Cpu(Simulator& sim, std::size_t shard = 0)
-      : sim_(&sim), shard_(shard) {}
+  explicit Cpu(Simulator& sim) : sim_(&sim) {}
 
   /// Enqueues work costing `cost` CPU time. `fn` runs at the instant the
   /// work *completes* (it starts when the CPU frees up). FIFO per CPU.
@@ -68,7 +64,6 @@ class Cpu {
   Work& front() { return ring_[head_]; }
 
   Simulator* sim_;
-  std::size_t shard_ = 0;
   /// FIFO of queued work: a power-of-two ring, items [head_, head_+queued_)
   /// modulo its size. It doubles when full and never shrinks, so a steady
   /// queue depth allocates nothing.

@@ -7,29 +7,26 @@
 //
 // Implementation: callbacks live in a slab-pooled slot store (InlineFn keeps
 // small captures allocation-free; SlabPool keeps the slots pointer-stable,
-// so growth never relocates a live callback). The heap itself is a flat
-// 4-ary heap of 24-byte entries referencing slots by index. Cancellation is
-// O(1): each slot carries a generation counter, and an EventId embeds the
-// generation it was issued under, so cancel just bumps the generation and
-// the stale heap entry is skipped when it surfaces.
+// so growth never relocates a live callback, and an event runs in place).
+// Pending events are ordered by one flat 4-ary heap of 24-byte entries plus
+// FIFO lanes.
 //
-// Sharding (optional): constructed with k > 1, the queue keeps k
-// independent 4-ary heaps plus an indexed min-heap over the k shard heads
-// (position map per shard, so each nonempty shard appears exactly once —
-// no lazy duplicates to accumulate). Callers tag each schedule with a
-// shard hint (per-process in SimWorld); ordering is STILL the global
-// (time, insertion sequence) — the sequence counter is queue-global — so a
-// sharded run executes the byte-identical event order as an unsharded one.
-// What sharding buys at big n is smaller per-heap sift depth (log of the
-// per-process backlog instead of the global one) and hot heap slices that
-// fit in cache; the head index costs O(log k) per head change.
+// Lanes: a caller that knows its events arrive in non-decreasing time (a
+// sender's network arrivals: its NIC serializes departures and propagation
+// is constant) schedules them on its own lane. Only a lane's head sits in
+// the heap; the rest wait in the lane's ring, and popping the head moves
+// the next one up with a single sift. So the heap holds the timers plus one
+// entry per busy lane, not every in-flight message. A lane entry that would
+// break its lane's order (an extra per-message delay can reorder a sender's
+// arrivals) goes to the heap instead. Sequence numbers are queue-global and
+// taken at schedule time either way, so lanes never change which event
+// runs next.
 //
-// Head-index staleness: a cancel() can invalidate a shard's cached head
-// key without notification. Cached keys therefore only ever run EARLY
-// (cancellation never makes a live head earlier, and schedule() decreases
-// the cached key when a new entry becomes its shard's head), so a stale
-// shard surfaces at the index root before its true turn, gets its key
-// recomputed, and is sifted back down — never skipped.
+// Cancellation is O(1): each slot carries a generation counter, and an
+// EventId embeds the generation it was issued under, so cancel just bumps
+// the generation and frees the slot. Each heap or lane entry remembers the
+// sequence number of its event; one whose slot no longer holds that
+// sequence is stale and is dropped when it surfaces.
 #pragma once
 
 #include <cstdint>
@@ -45,96 +42,93 @@ namespace modcast::sim {
 /// (slot + 1); never 0, so 0 is usable as "no event".
 using EventId = std::uint64_t;
 
+/// Names a FIFO lane of an EventQueue (see the file comment).
+using LaneId = std::uint32_t;
+
 class EventQueue {
  public:
   /// Callables up to 64 capture bytes are stored inline in the slot pool.
   using Callback = util::InlineFn<64>;
 
-  /// `shards` > 1 splits the heap into that many independently sifted
-  /// sub-heaps (see file comment). Pop order is identical for every value.
-  explicit EventQueue(std::size_t shards = 1);
+  /// Opens `count` new lanes and returns the id of the first; the others
+  /// follow consecutively.
+  LaneId add_lanes(std::size_t count);
 
   /// Schedules `fn` at absolute time `when`. Returns a handle usable with
-  /// cancel(). `shard` places the entry on one of the sub-heaps (ignored —
-  /// reduced modulo — when out of range; irrelevant to ordering).
-  EventId schedule(util::TimePoint when, Callback fn, std::size_t shard = 0);
+  /// cancel().
+  EventId schedule(util::TimePoint when, Callback&& fn);
 
-  /// Cancels a pending event. Cancelling an already-fired or unknown event is
-  /// a no-op (timers race with their own firing; that must be benign).
-  void cancel(EventId id);
+  /// Like schedule(), through lane `lane`: cheapest when `when` is not
+  /// earlier than the lane's previous entry. The event runs in the same
+  /// order either way.
+  EventId schedule(LaneId lane, util::TimePoint when, Callback&& fn);
+
+  /// Cancels a pending event and reports whether it did. Cancelling an
+  /// already-fired, running or unknown event is a no-op that returns false
+  /// (timers race with their own firing; that must be benign).
+  bool cancel(EventId id);
 
   bool empty() const { return live_ == 0; }
   std::size_t size() const { return live_; }
-  std::size_t shard_count() const { return heaps_.size(); }
 
-  /// Time of the earliest pending event. Precondition: !empty().
-  util::TimePoint next_time() const;
-
-  /// Removes and returns the earliest event's action. Precondition: !empty().
-  Callback pop(util::TimePoint* when);
+  /// Runs the earliest pending event if its time is <= `deadline`: stores
+  /// its time in `*now`, then calls it. Returns false, running nothing, when
+  /// the queue is empty or the earliest event is later than `deadline`.
+  bool run_next(util::TimePoint deadline, util::TimePoint* now);
 
   /// Peak simultaneously-pending events over the queue's lifetime.
-  std::size_t high_water() const { return slots_.high_water(); }
+  std::size_t high_water() const { return peak_live_; }
 
-  /// Bytes of heap state the queue holds (slot slabs + heap vectors). Exact
-  /// and deterministic; the scalability bench reports it.
+  /// Bytes of heap state the queue holds (slot slabs, heap and lanes).
+  /// Exact and deterministic; the scalability bench reports it.
   std::size_t state_bytes() const;
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr LaneId kNoLane = 0xffffffffu;
+  static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
 
   struct Slot {
     Callback fn;
+    std::uint64_t seq = kNoSeq;  ///< the pending event's, else kNoSeq
     std::uint32_t generation = 0;
   };
-  struct HeapEntry {
+  struct Entry {
     util::TimePoint when;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t gen;
+    LaneId lane;  ///< kNoLane for an entry scheduled straight on the heap
+  };
+  /// A lane's head is in the heap (`busy`); its followers wait in `ring`, a
+  /// power-of-two ring of `count` entries from `head`.
+  struct Lane {
+    std::vector<Entry> ring;
+    std::uint32_t head = 0;
+    std::uint32_t count = 0;
+    util::TimePoint tail = 0;  ///< time of the latest entry, while busy
+    bool busy = false;
   };
 
-  static bool earlier(const HeapEntry& a, const HeapEntry& b) {
+  static bool earlier(const Entry& a, const Entry& b) {
     if (a.when != b.when) return a.when < b.when;
     return a.seq < b.seq;
   }
 
-  void release_slot(std::uint32_t slot);
+  /// Takes a slot for `fn` and returns its entry (lane unset).
+  Entry acquire(util::TimePoint when, Callback&& fn);
+  EventId id_of(const Entry& e) const;
+  void push_heap(const Entry& e);
+  /// Removes the heap root, which belongs to lane `lane` (or none): the
+  /// lane's next entry takes its place, else the heap shrinks.
+  void pop_root(LaneId lane);
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
 
-  // Heap maintenance is const so next_time() can purge stale (cancelled)
-  // tops; only the mutable heap vectors change, never the slot pool.
-  void sift_up(std::vector<HeapEntry>& heap, std::size_t i) const;
-  void sift_down(std::vector<HeapEntry>& heap, std::size_t i) const;
-  void heap_pop_top(std::vector<HeapEntry>& heap) const;
-  void drop_stale(std::vector<HeapEntry>& heap) const;
-
-  /// Cached (when, seq) of a shard's head, as last seen by the head index.
-  struct ShardKey {
-    util::TimePoint when;
-    std::uint64_t seq;
-  };
-  static bool earlier(const ShardKey& a, const ShardKey& b) {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
-  }
-
-  // Head-index maintenance (sharded mode only; empty at one shard).
-  void index_sift_up(std::size_t i) const;
-  void index_sift_down(std::size_t i) const;
-  void index_insert(std::uint32_t shard, ShardKey key) const;
-  void index_remove_root() const;
-  /// Normalizes the head index until its root names a shard whose cached
-  /// key equals its live head, and returns that shard — the holder of the
-  /// global (when, seq) minimum. Precondition: !empty().
-  std::size_t top_shard() const;
-
-  mutable std::vector<std::vector<HeapEntry>> heaps_;
-  mutable std::vector<ShardKey> shard_key_;       // valid iff in the index
-  mutable std::vector<std::uint32_t> shard_pos_;  // position or kNil
-  mutable std::vector<std::uint32_t> shard_heap_; // shard ids, min by key
+  std::vector<Entry> heap_;
+  std::vector<Lane> lanes_;
   SlabPool<Slot> slots_;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
+  std::size_t peak_live_ = 0;
 };
 
 }  // namespace modcast::sim

@@ -14,6 +14,7 @@ Network::Network(Simulator& sim, std::size_t n, NetworkConfig config,
       crashed_(n, 0),
       nic_free_at_(n, 0),
       fifo_rows_(n),
+      first_lane_(sim.add_lanes(n)),
       drop_rng_(seed),
       per_sender_(n) {}
 
@@ -74,7 +75,7 @@ void Network::send(util::ProcessId from, util::ProcessId to,
     rec.msg = std::move(msg);
     rec.from = from;
     rec.to = to;
-    sim_->after(util::microseconds(1), [this, idx] { deliver(idx); }, to);
+    sim_->after(util::microseconds(1), [this, idx] { deliver(idx); });
     return;
   }
 
@@ -119,7 +120,8 @@ void Network::send(util::ProcessId from, util::ProcessId to,
   rec.msg = std::move(msg);
   rec.from = from;
   rec.to = to;
-  sim_->at(arrival, [this, idx] { deliver(idx); }, to);
+  // The sender's lane: its arrivals come in NIC order (see network.hpp).
+  sim_->at_lane(first_lane_ + from, arrival, [this, idx] { deliver(idx); });
 }
 
 void Network::crash(util::ProcessId p) { crashed_.at(p) = 1; }

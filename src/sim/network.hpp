@@ -14,6 +14,12 @@
 // for testing the protocols' bad-run paths; good-run experiments leave it
 // off.
 //
+// Scheduling: each sender has its own event-queue lane. Its NIC serializes
+// departures and propagation is constant, so a sender's arrivals come in
+// non-decreasing time and append to the lane's ring instead of the heap;
+// an extra per-message delay that reorders them sends the late one to the
+// heap (sim/event_queue.hpp). Loopback sends go to the heap.
+//
 // Memory model (big-n runs): in-flight deliveries live in a SlabPool, so
 // steady state does no per-message heap allocation, and per-pair link state
 // is tiered — dense FIFO high-water rows allocated lazily per active
@@ -190,6 +196,8 @@ class Network {
   std::vector<std::uint64_t> blocked_pairs_;
   /// Pooled in-flight frames: steady state does no per-message allocation.
   SlabPool<PendingDelivery> pending_;
+  /// Event-queue lane of sender 0; sender p uses first_lane_ + p.
+  LaneId first_lane_;
   DropFn drop_;
   util::Rng drop_rng_;
   DelayInjector extra_delay_;

@@ -1,15 +1,14 @@
 #include "sim/simulator.hpp"
 
+#include <limits>
+
 namespace modcast::sim {
 
 std::size_t Simulator::run(std::size_t max_events) {
   stopped_ = false;
   std::size_t executed = 0;
-  while (executed < max_events && !queue_.empty() && !stopped_) {
-    util::TimePoint when = 0;
-    auto fn = queue_.pop(&when);
-    now_ = when;
-    fn();
+  while (executed < max_events && !stopped_ &&
+         queue_.run_next(std::numeric_limits<util::TimePoint>::max(), &now_)) {
     ++executed;
   }
   return executed;
@@ -18,13 +17,7 @@ std::size_t Simulator::run(std::size_t max_events) {
 std::size_t Simulator::run_until(util::TimePoint deadline) {
   stopped_ = false;
   std::size_t executed = 0;
-  while (!queue_.empty() && !stopped_ && queue_.next_time() <= deadline) {
-    util::TimePoint when = 0;
-    auto fn = queue_.pop(&when);
-    now_ = when;
-    fn();
-    ++executed;
-  }
+  while (!stopped_ && queue_.run_next(deadline, &now_)) ++executed;
   now_ = std::max(now_, deadline);
   return executed;
 }

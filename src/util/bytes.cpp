@@ -125,10 +125,10 @@ Payload ByteReader::rest_payload() { return slice(remaining()); }
 
 Payload ByteReader::slice(std::size_t n) {
   need(n);
-  if (backing_.data() != data_.data()) {
+  if (backing_ == nullptr) {
     throw std::logic_error("ByteReader: slice reads need a Payload reader");
   }
-  Payload out = backing_.slice(pos_, n);
+  Payload out = backing_->slice(pos_, n);
   pos_ += n;
   return out;
 }

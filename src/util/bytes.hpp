@@ -62,7 +62,8 @@ class TruncatedReadError : public DecodeError {
 /// An n-way broadcast serializes its message once into a Payload and hands
 /// the same buffer to every destination — copying a Payload copies a
 /// shared_ptr and two integers, never the bytes. Consumers that need to
-/// strip a header take a slice() (same buffer, narrower view); consumers
+/// strip a header take a slice() (same buffer, narrower view) or narrow
+/// their own view in place with remove_prefix(); consumers
 /// that need mutable bytes call to_bytes(), which is the copy-on-write
 /// escape hatch. The refcount is atomic, so Payloads may cross threads
 /// (ThreadWorld hands them between process threads).
@@ -103,6 +104,13 @@ class Payload {
     p.offset_ = offset_ + off;
     p.length_ = len;
     return p;
+  }
+
+  /// Narrows this view by its first n bytes, in place: no refcount traffic.
+  void remove_prefix(std::size_t n) {
+    if (n > length_) throw DecodeError("Payload::remove_prefix out of range");
+    offset_ += n;
+    length_ -= n;
   }
 
   /// Materializes an owned copy of the viewed bytes (copy-on-write: the
@@ -205,13 +213,18 @@ class ByteWriter {
 /// Reads primitive values from a byte span. A reader built from a Payload
 /// also hands out slices of it: blob_payload() and rest_payload() return
 /// views of the same buffer, so decoding never copies a payload.
+///
+/// A reader borrows the Payload it reads (no refcount traffic), so that
+/// Payload must outlive it and stay unchanged while it reads; a reader of a
+/// temporary Payload does not compile.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
   explicit ByteReader(const Bytes& data)
       : data_(std::span<const std::uint8_t>(data.data(), data.size())) {}
   explicit ByteReader(const Payload& data)
-      : data_(data.span()), backing_(data) {}
+      : data_(data.span()), backing_(&data) {}
+  ByteReader(Payload&&) = delete;
 
   std::uint8_t u8();
   std::uint16_t u16();
@@ -246,7 +259,7 @@ class ByteReader {
   Payload slice(std::size_t n);
 
   std::span<const std::uint8_t> data_;
-  Payload backing_;  ///< set when built from a Payload
+  const Payload* backing_ = nullptr;  ///< set when built from a Payload
   std::size_t pos_ = 0;
 };
 

@@ -59,7 +59,6 @@ RunResult run_once(std::size_t n, const core::StackOptions& stack,
   gc.record_deliveries = false;
   gc.safety_check = workload.safety_check;
   gc.collect_metrics = workload.collect_metrics;
-  gc.event_shards = workload.event_shards;
   core::SimGroup group(gc);
   auto& world = group.world();
   auto& sim = world.simulator();

@@ -61,7 +61,6 @@ Budget measure_stack(core::StackKind kind) {
   cfg.n = 33;
   cfg.stack.kind = kind;
   cfg.record_deliveries = false;
-  cfg.event_shards = cfg.n;
   core::SimGroup g(cfg);
   std::uint64_t delivered = 0;
   g.set_deliver_observer([&delivered](util::ProcessId p, util::ProcessId,
@@ -113,12 +112,12 @@ void expect_within(const Budget& got, const Budget& budget) {
 }
 
 TEST(AllocBudget, ModularN33) {
-  expect_within(measure_stack(core::StackKind::kModular), Budget{64513, 1213});
+  expect_within(measure_stack(core::StackKind::kModular), Budget{55572, 1213});
 }
 
 TEST(AllocBudget, MonolithicN33) {
   expect_within(measure_stack(core::StackKind::kMonolithic),
-                Budget{62034, 1201});
+                Budget{54613, 1201});
 }
 
 // ---------------------------------------------------------------------------

@@ -251,7 +251,7 @@ TEST(ConsensusRecovery, CoordinatorCountsOwnEstimateWhenPeersArriveFirst) {
     });
   }
   world.run_until(seconds(2));
-  EXPECT_TRUE(nodes[1]->fd.suspected().empty());
+  EXPECT_EQ(nodes[1]->fd.suspected_count(), 0u);
   for (util::ProcessId p = 1; p < 3; ++p) {
     auto it = nodes[p]->decided.find(0);
     ASSERT_TRUE(it != nodes[p]->decided.end()) << "process " << p;

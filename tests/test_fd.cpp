@@ -24,7 +24,7 @@ TEST(HeartbeatFd, NoSuspicionInGoodRun) {
   h.start();
   h.run_until(seconds(2));
   for (util::ProcessId p = 0; p < 3; ++p) {
-    EXPECT_TRUE(h.node(p).fd.suspected().empty()) << "process " << p;
+    EXPECT_EQ(h.node(p).fd.suspected_count(), 0u) << "process " << p;
     EXPECT_TRUE(h.node(p).suspect_events.empty()) << "process " << p;
   }
 }

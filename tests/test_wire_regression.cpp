@@ -15,9 +15,11 @@
 // frame it arrived in.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -649,6 +651,61 @@ TEST(MalformedFrame, OutOfRangeOriginIsDroppedByBothStacks) {
                      {bad_origin_frame(framework::kModMonolithic, 2, 12),
                       bad_origin_frame(framework::kModMonolithic, 3, 0),
                       bad_origin_frame(framework::kModMonolithic, 5, 20)});
+}
+
+/// A live n=3 group of `kind` gets a frame for module id 255 at every
+/// process mid-run. The stacks size their wire tables to the ids they bind,
+/// so 255 lies beyond the table: it must be dropped with the unbound-id
+/// warning, neither delivered nor counted, and the group must still deliver
+/// everything in total order and agreement.
+void run_id_beyond_table(core::StackKind kind) {
+  std::vector<std::string> warnings;
+  const util::LogLevel saved = util::Log::level();
+  util::Log::set_level(util::LogLevel::kWarn);
+  util::Log::set_sink([&warnings](util::LogLevel, const std::string& line) {
+    warnings.push_back(line);
+  });
+  core::SimGroupConfig cfg;
+  cfg.n = 3;
+  cfg.stack.kind = kind;
+  core::SimGroup g(cfg);
+  g.start();
+  constexpr int kPerProcess = 10;
+  for (util::ProcessId p = 0; p < g.size(); ++p)
+    for (int i = 0; i < kPerProcess; ++i)
+      g.world().simulator().at(util::milliseconds(1 + p + 10 * i), [&g, p] {
+        g.process(p).abcast(Bytes(64, 0x5a));
+      });
+  g.world().simulator().at(util::milliseconds(45), [&] {
+    for (util::ProcessId p = 0; p < g.size(); ++p) {
+      framework::Stack& stack = g.process(p).stack();
+      const framework::StackCounters before = stack.counters();
+      stack.on_message((p + 1) % g.size(), Payload(Bytes{255, 1, 2, 3}));
+      EXPECT_EQ(stack.counters().wire_deliveries, before.wire_deliveries);
+      EXPECT_EQ(stack.counters().malformed_frames, before.malformed_frames);
+      EXPECT_EQ(stack.wire_counters(255).messages_received, 0u);
+    }
+  });
+  g.run_until(util::seconds(3));
+  util::Log::set_sink(nullptr);
+  util::Log::set_level(saved);
+  EXPECT_EQ(std::count(warnings.begin(), warnings.end(),
+                       "stack: no module bound for wire id 255"),
+            static_cast<std::ptrdiff_t>(g.size()));
+  for (util::ProcessId p = 0; p < g.size(); ++p) {
+    EXPECT_EQ(g.deliveries(p).size(), kPerProcess * g.size())
+        << "process " << p;
+  }
+  const core::ContractViolation order = core::check_total_order(g);
+  EXPECT_TRUE(order.ok) << order.detail;
+  const core::ContractViolation agreement =
+      core::check_agreement_among_correct(g);
+  EXPECT_TRUE(agreement.ok) << agreement.detail;
+}
+
+TEST(MalformedFrame, IdBeyondTheWireTableIsDroppedByBothStacks) {
+  run_id_beyond_table(core::StackKind::kModular);
+  run_id_beyond_table(core::StackKind::kMonolithic);
 }
 
 TEST(MalformedFrame, ModularGroupSurvivesTruncatedFrames) {
