@@ -8,6 +8,11 @@ namespace {
 constexpr std::uint8_t kDiffuse = 1;
 constexpr std::uint8_t kPayloadPull = 2;  ///< indirect: ids whose payloads we need
 constexpr std::uint8_t kPayloadPush = 3;  ///< indirect: requested payloads
+
+/// Indirect mode: retry period for pulling payloads named by ids we lack.
+constexpr util::Duration kPayloadPullRetry = util::milliseconds(100);
+/// Indirect mode: delivered payloads retained for serving late pulls.
+constexpr std::size_t kPayloadRetention = 2048;
 }
 
 void ModularAbcast::init(framework::Stack& stack) {
@@ -227,7 +232,7 @@ void ModularAbcast::store_payload(const AppMessage& m) {
 void ModularAbcast::retain_delivered(const MsgId& id) {
   // Keep the payload around to serve late pulls, bounded FIFO.
   retained_order_.push_back(id);
-  while (retained_order_.size() > config_.payload_retention) {
+  while (retained_order_.size() > kPayloadRetention) {
     payload_store_.erase(retained_order_.front());
     retained_order_.pop_front();
   }
@@ -278,7 +283,7 @@ void ModularAbcast::on_new_payloads() {
 void ModularAbcast::arm_payload_timer() {
   if (payload_timer_ != runtime::kInvalidTimer) return;
   payload_timer_ =
-      stack_->rt().set_timer(config_.payload_pull_retry, [this] {
+      stack_->rt().set_timer(kPayloadPullRetry, [this] {
         payload_timer_ = runtime::kInvalidTimer;
         const bool blocked_decision = flow_.next_decision() != nullptr;
         if (waiting_validation_.empty() && !blocked_decision) return;

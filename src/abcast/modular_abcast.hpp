@@ -53,10 +53,6 @@ struct AbcastConfig {
   /// consensus module's extended-specification validator (wired by
   /// core::AbcastProcess).
   bool indirect_consensus = false;
-  /// Retry period for pulling payloads named by ids we do not hold.
-  util::Duration payload_pull_retry = util::milliseconds(100);
-  /// Delivered payloads retained for serving late pulls (indirect mode).
-  std::size_t payload_retention = 2048;
 };
 
 /// Modular-stack counters; the shared ones are adb::FlowStats.
@@ -129,7 +125,7 @@ class ModularAbcast final : public framework::Module {
 
   // Indirect-consensus state (unused when indirect_consensus is off).
   /// Payloads by id. Each entry is a slice of the frame it arrived in, so
-  /// a retained entry pins that frame (bounded by payload_retention).
+  /// a retained entry pins that frame (delivered ones: kPayloadRetention).
   std::map<MsgId, util::Payload> payload_store_;
   std::deque<MsgId> retained_order_;  ///< delivered payloads, eviction FIFO
   std::set<std::uint64_t> waiting_validation_;  ///< instances deferred

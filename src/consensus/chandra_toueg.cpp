@@ -1,7 +1,6 @@
 #include "consensus/chandra_toueg.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "util/bytes.hpp"
 #include "util/log.hpp"
@@ -304,7 +303,7 @@ void ChandraTouegConsensus::decide_local(std::uint64_t k, util::Payload value) {
   stack_->raise(framework::Event::local(
       framework::kEvDecide,
       framework::ConsensusValueBody{k, std::move(value)}));
-  instances_.prune(config_.decision_retention, k);
+  instances_.prune(ct::kDecisionRetention, k);
 }
 
 void ChandraTouegConsensus::start_pull(Instance& inst) {
@@ -319,7 +318,7 @@ void ChandraTouegConsensus::start_pull(Instance& inst) {
 
   const std::uint64_t k = inst.k;
   inst.pull_timer =
-      stack_->rt().set_timer(config_.pull_retry, [this, k] {
+      stack_->rt().set_timer(ct::kPullRetry, [this, k] {
         Instance* inst = instances_.find(k);
         if (inst == nullptr || inst->decided) return;
         inst->pull_timer = runtime::kInvalidTimer;
@@ -392,15 +391,11 @@ void ChandraTouegConsensus::on_proposal(util::ProcessId from, std::uint64_t k,
                                         std::uint32_t round,
                                         util::Payload value) {
   Instance& inst = instance(k);
-  inst.proposals[round] = std::move(value);
-
   if (inst.nudge_timer != runtime::kInvalidTimer && round == 1) {
     stack_->rt().cancel_timer(inst.nudge_timer);
     inst.nudge_timer = runtime::kInvalidTimer;
   }
-
-  // A pending DECISION tag for this round resolves now.
-  if (!inst.decided && inst.pending_tag_round == round) {
+  if (ct::hold_proposal(inst, round, std::move(value))) {
     decide_local(k, inst.proposals[round]);
     return;
   }
@@ -493,13 +488,10 @@ void ChandraTouegConsensus::on_rdeliver(util::ProcessId origin,
     const std::uint32_t round = r.u32();
     if (instances_.decided(k)) return;
     Instance& inst = instance(k);
-    auto pit = inst.proposals.find(round);
-    if (pit != inst.proposals.end()) {
-      decide_local(k, pit->second);
-    } else {
-      // We never saw the proposal the tag refers to: pull the full value.
-      inst.pending_tag_round = round;
-      if (inst.pull_timer == runtime::kInvalidTimer) start_pull(inst);
+    if (const util::Payload* value = ct::resolve_tag(inst, round)) {
+      decide_local(k, *value);
+    } else if (inst.pull_timer == runtime::kInvalidTimer) {
+      start_pull(inst);  // we never saw the proposal: pull the full value
     }
   } else if (kind == kDecisionFull) {
     const std::uint64_t k = r.u64();

@@ -32,14 +32,14 @@
 // Concurrent instances: all protocol state is keyed by instance number
 // (per-instance rounds, estimates, timers), so a pipelined caller may run
 // any number of instances at once — decisions can complete in any order and
-// nothing bleeds across instances. The round state and its transitions are
-// the shared ct:: round core (src/ct); this module is its I/O shell.
+// nothing bleeds across instances. The round and tag-or-pull rules are the
+// shared src/ct cores; this module is their I/O shell.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 
-#include "ct/round_core.hpp"
+#include "ct/dissemination.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "framework/stack.hpp"
 
@@ -49,11 +49,6 @@ struct ConsensusConfig {
   /// How long a participant with an initial value waits for the round-1
   /// proposal before nudging the coordinator with an estimate.
   util::Duration proposal_nudge_timeout = util::milliseconds(200);
-  /// Retry period for pulling a decision value after a DECISION tag whose
-  /// proposal we never saw.
-  util::Duration pull_retry = util::milliseconds(100);
-  /// How many decided instances are kept for answering pulls.
-  std::uint64_t decision_retention = 512;
 };
 
 /// Statistics a test or bench can assert on.

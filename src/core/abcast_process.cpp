@@ -18,8 +18,7 @@ AbcastProcess::AbcastProcess(runtime::Runtime& rt, StackOptions options)
   stack_->add(*fd_);
 
   if (options.kind == StackKind::kModular) {
-    rbcast_ = std::make_unique<rbcast::ReliableBcast>(options.rbcast,
-                                                      fd_.get());
+    rbcast_ = std::make_unique<rbcast::ReliableBcast>(options.rbcast);
     stack_->add(*rbcast_);
 
     consensus_ =

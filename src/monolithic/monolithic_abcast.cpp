@@ -1,7 +1,6 @@
 #include "monolithic/monolithic_abcast.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "util/log.hpp"
 
@@ -44,20 +43,6 @@ void MonolithicAbcast::init(framework::Stack& stack) {
 void MonolithicAbcast::start() {
   last_activity_ = stack_->rt().now();
   arm_liveness_timer();
-}
-
-// --------------------------------------------------------------------------
-// Identity helpers
-// --------------------------------------------------------------------------
-
-bool MonolithicAbcast::is_designated_resender(util::ProcessId origin,
-                                              util::ProcessId relay) const {
-  const auto n = static_cast<std::uint32_t>(stack_->group_size());
-  const std::uint32_t resenders = (n - 1) / 2;
-  for (std::uint32_t i = 1; i <= resenders; ++i) {
-    if ((origin + i) % n == relay) return true;
-  }
-  return false;
 }
 
 // --------------------------------------------------------------------------
@@ -334,7 +319,7 @@ void MonolithicAbcast::coordinator_decided(Instance& inst,
   }
 
   if (!config_.opt_cheap_decision) {
-    // Without §4.3: reliable-broadcast the tag (designated resenders relay),
+    // Without §4.3: reliable-broadcast the tag (ct::resends resenders relay),
     // same cost profile as the modular stack's decision diffusion.
     relayed_decisions_.mark(kRelayTagChannel, k);
     send_standalone_tag(k, round);
@@ -359,14 +344,15 @@ void MonolithicAbcast::coordinator_decided(Instance& inst,
 }
 
 void MonolithicAbcast::send_standalone_tag(std::uint64_t k,
-                                           std::uint32_t round) {
+                                           std::uint32_t round, bool relay) {
   util::ByteWriter w = framework::Stack::writer(framework::kModMonolithic, 16);
   w.u8(kDecisionTag);
   w.u64(k);
   w.u32(round);
-  framework::TraceScope scope(*stack_, k, 0);
+  framework::TraceScope scope(
+      *stack_, k, 0, relay ? framework::kTraceFlagRelay : std::uint8_t{0});
   stack_->send_wire_to_others(framework::kModMonolithic, w.take());
-  ++stats_.standalone_tags;
+  if (!relay) ++stats_.standalone_tags;
 }
 
 // --------------------------------------------------------------------------
@@ -506,9 +492,7 @@ void MonolithicAbcast::handle_proposal(util::ProcessId from, std::uint64_t k,
                                        util::Payload batch) {
   if (k < flow_.next_decide()) return;  // stale instance
   Instance& inst = instance(k);
-  inst.proposals[round] = std::move(batch);
-
-  if (!inst.decided && inst.pending_tag_round == round) {
+  if (ct::hold_proposal(inst, round, std::move(batch))) {
     decide(k, round, inst.proposals[round]);
     return;
   }
@@ -548,13 +532,11 @@ void MonolithicAbcast::resolve_decision_tag(std::uint64_t k,
   if (k < flow_.next_decide()) return;  // already applied (possibly pruned)
   if (instances_.decided(k)) return;
   Instance& inst = instance(k);
-  auto pit = inst.proposals.find(round);
-  if (pit != inst.proposals.end()) {
-    decide(k, round, pit->second);
-    return;
+  if (const util::Payload* batch = ct::resolve_tag(inst, round)) {
+    decide(k, round, *batch);
+  } else if (inst.pull_timer == runtime::kInvalidTimer) {
+    start_pull(inst);
   }
-  inst.pending_tag_round = round;
-  if (inst.pull_timer == runtime::kInvalidTimer) start_pull(inst);
 }
 
 void MonolithicAbcast::decide(std::uint64_t k, std::uint32_t round,
@@ -577,7 +559,7 @@ void MonolithicAbcast::decide(std::uint64_t k, std::uint32_t round,
 
   flow_.buffer_decision(k, std::move(batch));
   apply_ready_decisions();
-  instances_.prune(config_.decision_retention, k);
+  instances_.prune(ct::kDecisionRetention, k);
 }
 
 void MonolithicAbcast::apply_ready_decisions() {
@@ -647,7 +629,7 @@ void MonolithicAbcast::start_pull(Instance& inst) {
   }
   stats_.pulls_sent += stack_->group_size() - 1;
   const std::uint64_t k = inst.k;
-  inst.pull_timer = stack_->rt().set_timer(config_.pull_retry, [this, k] {
+  inst.pull_timer = stack_->rt().set_timer(ct::kPullRetry, [this, k] {
     Instance* inst = instances_.find(k);
     if (inst == nullptr || inst->decided) return;
     inst->pull_timer = runtime::kInvalidTimer;
@@ -720,17 +702,11 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
       resolve_decision_tag(k, round);
+      const ct::Group g = group();
       if (!config_.opt_cheap_decision &&
-          is_designated_resender(group().coordinator(round), stack_->self()) &&
+          ct::resends(g, g.coordinator(round), g.self) &&
           relayed_decisions_.mark(kRelayTagChannel, k)) {
-        util::ByteWriter w =
-            framework::Stack::writer(framework::kModMonolithic, 16);
-        w.u8(kDecisionTag);
-        w.u64(k);
-        w.u32(round);
-        framework::TraceScope scope(*stack_, k, 0,
-                                    framework::kTraceFlagRelay);
-        stack_->send_wire_to_others(framework::kModMonolithic, w.take());
+        send_standalone_tag(k, round, /*relay=*/true);
       }
       break;
     }

@@ -19,7 +19,8 @@
 // Each optimization has a correctness fallback for bad runs: missed
 // decisions are pulled from peers; on suspicion of the coordinator the full
 // estimate/propose/ack round machinery (rounds ≥ 2) takes over with full-
-// value decisions relayed on first receipt.
+// value decisions relayed on first receipt. Rounds, tag-or-pull and the
+// §4.3-off tag resenders are the shared src/ct cores.
 //
 // All three toggles exist so the ablation bench can attribute the paper's
 // measured gap to the individual optimizations.
@@ -38,7 +39,7 @@
 
 #include "adb/flow.hpp"
 #include "adb/types.hpp"
-#include "ct/round_core.hpp"
+#include "ct/dissemination.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "framework/stack.hpp"
 #include "util/seq_tracker.hpp"
@@ -54,10 +55,6 @@ struct MonolithicConfig {
   /// Coordinator retransmits an unacked proposal after this long (loss
   /// robustness; never fires in good runs over quasi-reliable channels).
   util::Duration ack_retransmit = util::milliseconds(400);
-  /// Retry period for decision pulls.
-  util::Duration pull_retry = util::milliseconds(100);
-  /// Decided instances retained for answering pulls.
-  std::uint64_t decision_retention = 512;
 
   // Ablation toggles (paper sections 4.1, 4.2, 4.3). All on = the paper's
   // monolithic stack; all off ≈ the modular algorithm in one module.
@@ -148,8 +145,11 @@ class MonolithicAbcast final : public framework::Module {
   /// The single standalone decision-tag send site: every (n−1)-message
   /// drain tag counted by analysis::monolithic_messages_per_run's
   /// `standalone_tags` term goes through here (costcheck budgets it as the
-  /// monolithic stack's batch-drain phase).
-  void send_standalone_tag(std::uint64_t k, std::uint32_t round);
+  /// monolithic stack's batch-drain phase). With `relay`, a resender passes
+  /// on a tag it received with §4.3 off; that is traced as a relay and not
+  /// counted as a drain tag.
+  void send_standalone_tag(std::uint64_t k, std::uint32_t round,
+                           bool relay = false);
   void arm_retransmit(Instance& inst, std::uint32_t round);
 
   // --- round machinery (recovery) ---
@@ -178,8 +178,6 @@ class MonolithicAbcast final : public framework::Module {
   void broadcast_decision_fallback(std::uint64_t k, std::uint32_t round,
                                    const util::Payload& batch,
                                    bool relay_seen);
-  bool is_designated_resender(util::ProcessId origin,
-                              util::ProcessId relay) const;
   static bool batch_is_empty(const util::Payload& value);
   void recheck_active_estimates();
 

@@ -4,6 +4,9 @@
 
 namespace modcast::rbcast {
 
+/// Recent messages retained for suspicion-triggered re-relay.
+constexpr std::size_t kRelayBuffer = 256;
+
 void ReliableBcast::init(framework::Stack& stack) {
   stack_ = &stack;
   stack.bind_wire(framework::kModRbcast,
@@ -38,18 +41,6 @@ void ReliableBcast::rbcast(util::Payload payload) {
                           /*i_am_origin=*/true);
 }
 
-bool ReliableBcast::is_designated_resender(util::ProcessId origin,
-                                           util::ProcessId relay) const {
-  const auto n = static_cast<std::uint32_t>(stack_->group_size());
-  // Resenders are the ⌊(n−1)/2⌋ processes following the origin in ring
-  // order; together with the origin they form a majority.
-  const std::uint32_t resenders = (n - 1) / 2;
-  for (std::uint32_t i = 1; i <= resenders; ++i) {
-    if ((origin + i) % n == relay) return true;
-  }
-  return false;
-}
-
 void ReliableBcast::on_wire(util::ProcessId from, util::Payload msg) {
   (void)from;
   util::ByteReader r(msg);
@@ -76,7 +67,7 @@ void ReliableBcast::deliver_and_maybe_relay(util::ProcessId origin,
   if (!i_am_origin) {
     const bool should_relay =
         config_.variant == Variant::kClassic ||
-        is_designated_resender(origin, stack_->self());
+        ct::resends(group(), origin, stack_->self());
     if (should_relay) {
       relay(origin, seq, payload);
       relayed = true;
@@ -84,7 +75,6 @@ void ReliableBcast::deliver_and_maybe_relay(util::ProcessId origin,
   }
   remember(origin, seq, payload, relayed);
 
-  ++rdelivered_count_;
   stack_->raise(framework::Event::local(
       framework::kEvRdeliver,
       framework::RdeliverBody{origin, std::move(payload)}));
@@ -104,17 +94,17 @@ void ReliableBcast::relay(util::ProcessId origin, std::uint64_t seq,
 void ReliableBcast::remember(util::ProcessId origin, std::uint64_t seq,
                              util::Payload payload, bool relayed) {
   recent_.push_back(Recent{origin, seq, std::move(payload), relayed});
-  while (recent_.size() > config_.relay_buffer) recent_.pop_front();
+  while (recent_.size() > kRelayBuffer) recent_.pop_front();
 }
 
 void ReliableBcast::on_suspect(util::ProcessId q) {
   if (config_.variant == Variant::kClassic) return;  // everyone relays anyway
-  // Fallback: if a process responsible for relaying (origin or designated
-  // resender) is suspected, relay recent messages ourselves so the
-  // all-or-none guarantee survives resender crashes.
+  // Fallback: if a process responsible for relaying (origin or resender)
+  // is suspected, relay recent messages ourselves so the all-or-none
+  // guarantee survives resender crashes.
+  const ct::Group g = group();
   for (auto& rec : recent_) {
-    const bool q_responsible =
-        q == rec.origin || is_designated_resender(rec.origin, q);
+    const bool q_responsible = q == rec.origin || ct::resends(g, rec.origin, q);
     if (q_responsible && !rec.relayed_by_me) {
       relay(rec.origin, rec.seq, rec.payload);
       rec.relayed_by_me = true;

@@ -6,13 +6,13 @@
 // Two variants:
 //  * Classic — on first receipt, every process re-sends to everyone:
 //    ~n² messages per broadcast.
-//  * Majority (the paper's optimization) — only a designated set of
-//    ⌊(n−1)/2⌋ processes re-sends, giving (n−1)·(⌊(n−1)/2⌋+1) messages.
+//  * Majority (the paper's optimization) — only the ⌊(n−1)/2⌋ resenders
+//    ct::resends names re-send, giving (n−1)·(⌊(n−1)/2⌋+1) messages.
 //    Correct under the majority-correct assumption (which consensus needs
 //    anyway): sender + resenders form a majority, so at least one correct
 //    process relays. As a belt-and-braces fallback for the case where the
-//    crashed process *was* a designated resender, any process that suspects
-//    the sender or a resender re-relays recent messages itself.
+//    crashed process *was* a resender, any process that suspects the sender
+//    or a resender re-relays its recent messages itself.
 //
 // Input:  framework event kEvRbcast (RbcastBody{payload}), or rbcast().
 // Output: framework event kEvRdeliver (RdeliverBody{origin, payload}).
@@ -20,9 +20,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <vector>
 
-#include "fd/heartbeat_fd.hpp"
+#include "ct/dissemination.hpp"
 #include "framework/stack.hpp"
 #include "util/seq_tracker.hpp"
 
@@ -35,29 +34,17 @@ enum class Variant {
 
 struct RbcastConfig {
   Variant variant = Variant::kMajority;
-  /// How many recent messages are retained for suspicion-triggered re-relay.
-  std::size_t relay_buffer = 256;
 };
 
 class ReliableBcast final : public framework::Module {
  public:
-  /// `fd` may be null (no suspicion fallback — unit tests of good runs).
-  explicit ReliableBcast(RbcastConfig config = {},
-                         const fd::HeartbeatFd* fd = nullptr)
-      : config_(config), fd_(fd) {}
+  explicit ReliableBcast(RbcastConfig config = {}) : config_(config) {}
 
   std::string_view name() const override { return "reliable-bcast"; }
   void init(framework::Stack& stack) override;
 
   /// Broadcasts payload reliably; rdelivers locally right away.
   void rbcast(util::Payload payload);
-
-  /// True if `relay` is one of the designated resenders for messages
-  /// originated by `origin` (majority variant).
-  bool is_designated_resender(util::ProcessId origin,
-                              util::ProcessId relay) const;
-
-  std::uint64_t rdelivered_count() const { return rdelivered_count_; }
 
  private:
   struct Recent {
@@ -67,6 +54,7 @@ class ReliableBcast final : public framework::Module {
     bool relayed_by_me;
   };
 
+  ct::Group group() const { return {stack_->group_size(), stack_->self()}; }
   void on_wire(util::ProcessId from, util::Payload msg);
   void on_suspect(util::ProcessId q);
   void deliver_and_maybe_relay(util::ProcessId origin, std::uint64_t seq,
@@ -82,12 +70,10 @@ class ReliableBcast final : public framework::Module {
                 util::Payload payload, bool relayed);
 
   RbcastConfig config_;
-  const fd::HeartbeatFd* fd_;
   framework::Stack* stack_ = nullptr;
   std::uint64_t next_seq_ = 0;
   util::SeqTracker delivered_;
   std::deque<Recent> recent_;
-  std::uint64_t rdelivered_count_ = 0;
 };
 
 }  // namespace modcast::rbcast

@@ -37,7 +37,7 @@ struct Node {
                 consensus::ConsensusConfig cc = {},
                 bool with_consensus = true,
                 util::Duration crossing_cost = 0)
-      : stack(rt, crossing_cost), fd(fdc), rb(rbc, &fd), cons(cc, &fd) {
+      : stack(rt, crossing_cost), fd(fdc), rb(rbc), cons(cc, &fd) {
     stack.add(fd);
     stack.add(rb);
     if (with_consensus) stack.add(cons);

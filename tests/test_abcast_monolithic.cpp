@@ -196,9 +196,7 @@ TEST(MonolithicFaults, FalseSuspicionsUnderLoadAreSafe) {
 }
 
 TEST(MonolithicFaults, DroppedProposalRecoveredByRetransmission) {
-  core::SimGroupConfig cfg = mono_config(3);
-  cfg.stack.consensus.pull_retry = milliseconds(50);
-  core::SimGroup group(cfg);
+  core::SimGroup group(mono_config(3));
   int drops = 4;
   group.world().network().set_drop(
       [&drops](util::ProcessId from, util::ProcessId) {

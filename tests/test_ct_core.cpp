@@ -1,4 +1,5 @@
-// Unit tests: the sans-IO Chandra–Toueg round core shared by both stacks.
+// Unit tests: the sans-IO Chandra–Toueg round core and dissemination core
+// shared by both stacks.
 #include "ct/round_core.hpp"
 
 #include <gtest/gtest.h>
@@ -6,6 +7,8 @@
 #include <set>
 #include <string>
 #include <vector>
+
+#include "ct/dissemination.hpp"
 
 namespace modcast::ct {
 namespace {
@@ -302,6 +305,72 @@ TEST(CtCore, InstancesReleaseTheRoundStateOfThePreviousDecision) {
   ASSERT_NE(table.find(2), nullptr);
   EXPECT_FALSE(table.find(2)->decided);
   EXPECT_EQ(table.find(1), nullptr);
+}
+
+/// Reference: the resender loop each stack carried before the shared core.
+bool resends_by_loop(std::uint32_t n, util::ProcessId origin,
+                     util::ProcessId q) {
+  const std::uint32_t count = (n - 1) / 2;
+  for (std::uint32_t i = 1; i <= count; ++i) {
+    if ((origin + i) % n == q) return true;
+  }
+  return false;
+}
+
+TEST(CtDissemination, ResendsMatchesTheRingLoop) {
+  for (std::uint32_t n = 1; n <= 9; ++n) {
+    const Group g{n, 0};
+    for (util::ProcessId origin = 0; origin < n; ++origin) {
+      for (util::ProcessId q = 0; q < n; ++q) {
+        EXPECT_EQ(resends(g, origin, q), resends_by_loop(n, origin, q))
+            << "n=" << n << " origin=" << origin << " q=" << q;
+      }
+    }
+  }
+}
+
+TEST(RbcastResenders, RingAfterOrigin) {
+  const Group g{5, 0};
+  // n=5: ⌊(n−1)/2⌋ = 2 resenders following the origin in ring order.
+  EXPECT_TRUE(resends(g, 0, 1));
+  EXPECT_TRUE(resends(g, 0, 2));
+  EXPECT_FALSE(resends(g, 0, 3));
+  EXPECT_FALSE(resends(g, 0, 4));
+  // Wraps around.
+  EXPECT_TRUE(resends(g, 3, 4));
+  EXPECT_TRUE(resends(g, 3, 0));
+  EXPECT_FALSE(resends(g, 3, 1));
+  // The origin is never its own resender.
+  EXPECT_FALSE(resends(g, 0, 0));
+}
+
+TEST(CtDissemination, TagResolvesFromTheHeldProposal) {
+  RoundState s;
+  EXPECT_FALSE(hold_proposal(s, 1, bytes_of("v")));
+  const util::Payload* value = resolve_tag(s, 1);
+  ASSERT_NE(value, nullptr);
+  EXPECT_EQ(*value, bytes_of("v"));
+  EXPECT_FALSE(s.pending_tag_round.has_value());
+}
+
+TEST(CtDissemination, TagWithoutProposalPendsUntilItArrives) {
+  RoundState s;
+  EXPECT_EQ(resolve_tag(s, 1), nullptr);
+  EXPECT_EQ(s.pending_tag_round, 1u);
+  EXPECT_TRUE(hold_proposal(s, 1, bytes_of("late")));
+  EXPECT_EQ(s.proposals[1], bytes_of("late"));
+  // Once decided, a retransmitted proposal resolves nothing.
+  s.decided = true;
+  EXPECT_FALSE(hold_proposal(s, 1, bytes_of("late")));
+}
+
+TEST(CtDissemination, TagForAnotherRoundIgnoresTheHeldProposal) {
+  RoundState s;
+  EXPECT_FALSE(hold_proposal(s, 1, bytes_of("r1")));
+  EXPECT_EQ(resolve_tag(s, 2), nullptr);
+  EXPECT_EQ(s.pending_tag_round, 2u);
+  EXPECT_FALSE(hold_proposal(s, 1, bytes_of("r1 again")));
+  EXPECT_TRUE(hold_proposal(s, 2, bytes_of("r2")));
 }
 
 }  // namespace

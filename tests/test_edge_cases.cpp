@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/sim_group.hpp"
+#include "ct/dissemination.hpp"
 #include "stack_harness.hpp"
 
 namespace modcast {
@@ -74,23 +75,96 @@ TEST(ConsensusValidator, PassingValidatorIsTransparent) {
 // --- Decision retention / pull behaviour ----------------------------------
 
 TEST(ConsensusRetention, OldDecisionsArePruned) {
-  consensus::ConsensusConfig cc;
-  cc.decision_retention = 8;
-  NodeHarness h(3, 1, fast_fd(), {}, cc);
+  NodeHarness h(3, 1, fast_fd());
   h.start();
-  constexpr std::uint64_t kInstances = 30;
+  constexpr std::uint64_t kInstances = ct::kDecisionRetention + 22;
   for (std::uint64_t k = 0; k < kInstances; ++k) {
     for (util::ProcessId p = 0; p < 3; ++p) {
       h.propose_at(milliseconds(5 + 5 * static_cast<std::int64_t>(k)), p, k,
                    "v" + std::to_string(k));
     }
   }
-  h.run_until(seconds(2));
+  h.run_until(seconds(4));
   // Recent instances answerable, oldest pruned.
   EXPECT_TRUE(h.node(0).cons.has_decided(kInstances - 1));
   EXPECT_EQ(h.node(0).cons.decision(0), nullptr);
   EXPECT_EQ(h.node(0).decided.size(), kInstances);  // deliveries unaffected
 }
+
+/// Stands in front of one process's protocol and drops the first frame of
+/// one module and kind that reaches it.
+class DropFirstFrame final : public runtime::Protocol {
+ public:
+  DropFirstFrame(runtime::Protocol& inner, framework::ModuleId module,
+                 std::uint8_t kind)
+      : inner_(inner), module_(module), kind_(kind) {}
+  void start() override { inner_.start(); }
+  void on_message(util::ProcessId from, util::Payload msg) override {
+    const auto frame = msg.span();
+    if (!dropped_ && frame.size() >= 2 && frame[0] == module_ &&
+        frame[1] == kind_) {
+      dropped_ = true;
+      return;
+    }
+    inner_.on_message(from, std::move(msg));
+  }
+  bool dropped() const { return dropped_; }
+
+ private:
+  runtime::Protocol& inner_;
+  framework::ModuleId module_;
+  std::uint8_t kind_;
+  bool dropped_ = false;
+};
+
+class DecisionPull : public ::testing::TestWithParam<core::StackKind> {};
+
+// p2 misses the round-1 proposal, so the DECISION tag names a proposal it
+// never held: it must pull the value and decide what the others decided.
+TEST_P(DecisionPull, MissedProposalIsPulledAndDecidedAlike) {
+  const bool modular = GetParam() == core::StackKind::kModular;
+  core::SimGroupConfig cfg;
+  cfg.n = 3;
+  cfg.stack.kind = GetParam();
+  core::SimGroup group(cfg);
+  // The round-1 proposal frame: consensus kProposal (2) on the modular
+  // stack, COMBINED (1) on the monolithic one.
+  DropFirstFrame filter(
+      group.process(2).protocol(),
+      modular ? framework::kModConsensus : framework::kModMonolithic,
+      modular ? 2 : 1);
+  group.world().attach(2, &filter);
+  group.start();
+  group.world().simulator().at(milliseconds(1), [&group] {
+    group.process(0).abcast(util::Bytes(32, 0xab));
+  });
+  group.run_until(seconds(1));
+
+  ASSERT_TRUE(filter.dropped());
+  auto& p2 = group.process(2);
+  EXPECT_GE(modular ? p2.consensus_module()->stats().pulls_sent
+                    : p2.monolithic()->stats().pulls_sent,
+            1u);
+  auto decision = [&](util::ProcessId p) {
+    auto& proc = group.process(p);
+    return modular ? proc.consensus_module()->decision(0)
+                   : proc.monolithic()->decision(0);
+  };
+  for (util::ProcessId p = 0; p < 3; ++p) {
+    ASSERT_NE(decision(p), nullptr) << "process " << p;
+    EXPECT_EQ(*decision(p), *decision(0)) << "process " << p;
+    EXPECT_EQ(group.deliveries(p).size(), 1u) << "process " << p;
+  }
+  auto check = core::check_agreement_among_correct(group);
+  EXPECT_TRUE(check.ok) << check.detail;
+}
+
+INSTANTIATE_TEST_SUITE_P(Stacks, DecisionPull,
+                         ::testing::Values(core::StackKind::kModular,
+                                           core::StackKind::kMonolithic),
+                         [](const auto& info) {
+                           return std::string(core::to_string(info.param));
+                         });
 
 // --- Network partition heal ------------------------------------------------
 

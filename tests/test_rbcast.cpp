@@ -105,22 +105,6 @@ TEST_P(RbcastCount, ClassicVariantMatchesFormula) {
 INSTANTIATE_TEST_SUITE_P(GroupSizes, RbcastCount,
                          ::testing::Values(2, 3, 4, 5, 6, 7, 8, 9, 11, 15));
 
-TEST(RbcastResenders, RingAfterOrigin) {
-  NodeHarness h(5, 1, fast_fd(), variant(Variant::kMajority));
-  auto& rb = h.node(0).rb;
-  // n=5: ⌊(n−1)/2⌋ = 2 resenders following the origin in ring order.
-  EXPECT_TRUE(rb.is_designated_resender(0, 1));
-  EXPECT_TRUE(rb.is_designated_resender(0, 2));
-  EXPECT_FALSE(rb.is_designated_resender(0, 3));
-  EXPECT_FALSE(rb.is_designated_resender(0, 4));
-  // Wraps around.
-  EXPECT_TRUE(rb.is_designated_resender(3, 4));
-  EXPECT_TRUE(rb.is_designated_resender(3, 0));
-  EXPECT_FALSE(rb.is_designated_resender(3, 1));
-  // The origin is never its own resender.
-  EXPECT_FALSE(rb.is_designated_resender(0, 0));
-}
-
 // Sender crashes mid-broadcast and the copy reaches only designated
 // resenders: they relay immediately, no failure detection needed.
 TEST(RbcastCrash, ResendersCoverPartialBroadcast) {
